@@ -52,39 +52,41 @@ class Corpus:
 
     @classmethod
     def from_words(cls, words, source_path="<memory>") -> "Corpus":
-        raw = "\n".join(words) + "\n"
-        cleaned, original = _clean_words(raw.splitlines())
-        if not cleaned:
-            raise CorpusError("corpus is empty after filtering")
-        digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
-        return cls(tuple(cleaned), source_path, original, digest)
+        """The corpus a file holding these words, one per line, would give."""
+        return _parse_corpus(("\n".join(words) + "\n").encode("utf-8"), source_path)
 
 
-def _clean_words(lines) -> tuple[list[str], int]:
+def _parse_corpus(raw: bytes, source) -> Corpus:
+    """Fingerprint UTF-8 bytes, then trim, drop blanks and drop duplicates.
+
+    Duplicates keep their first occurrence. Raises CorpusError, naming the
+    source, when the bytes are not UTF-8 or no word is left.
+    """
+    digest = hashlib.sha256(raw).hexdigest()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"corpus {source} is not valid UTF-8: {exc}") from exc
     words: list[str] = []
     seen: set[str] = set()
-    count = 0
     for line in lines:
-        count += 1
         word = line.strip()
         if word and word not in seen:
             seen.add(word)
             words.append(word)
-    return words, count
+    if not words:
+        raise CorpusError(f"corpus {source} is empty after filtering")
+    return Corpus(tuple(words), str(source), len(lines), digest)
 
 
 def load_corpus(path) -> Corpus:
     """Read a newline-delimited word file: trim, drop blanks, drop duplicates.
 
-    Duplicates keep their first occurrence. Raises CorpusError when nothing
-    is left; an unreadable path raises the underlying OSError.
+    Duplicates keep their first occurrence. Raises CorpusError when the
+    file is not UTF-8 or nothing is left; an unreadable path raises the
+    underlying OSError.
     """
-    raw = Path(path).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    words, original = _clean_words(raw.decode("utf-8").splitlines())
-    if not words:
-        raise CorpusError(f"corpus {path} is empty after filtering")
-    return Corpus(tuple(words), str(path), original, digest)
+    return _parse_corpus(Path(path).read_bytes(), path)
 
 
 def seeded_shuffle(words, rng: SplitMix64) -> list:
@@ -289,6 +291,12 @@ def render_report(report: BenchmarkReport, fmt: str = "table") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _meta_line(report: BenchmarkReport) -> str:
+    """The config echo that heads the table and csv renderings."""
+    return (f"# seed={report.seed} iterations={report.iterations}"
+            f" corpus_sha256={report.corpus_sha256} sample_size={report.sample_size}")
+
+
 def _render_table(report: BenchmarkReport) -> str:
     header = ["Algorithm", "LL", "LR", "RL", "RR", "Sum"]
     body: list[list[str]] = []
@@ -306,17 +314,11 @@ def _render_table(report: BenchmarkReport) -> str:
         cells = [line[0].ljust(widths[0])]
         cells += [cell.rjust(widths[i + 1]) for i, cell in enumerate(line[1:])]
         lines.append("  ".join(cells).rstrip())
-    meta = (f"# seed={report.seed} iterations={report.iterations}"
-            f" corpus_sha256={report.corpus_sha256} sample_size={report.sample_size}")
-    return "\n".join([meta] + lines) + "\n"
+    return "\n".join([_meta_line(report)] + lines) + "\n"
 
 
 def _render_csv(report: BenchmarkReport) -> str:
-    lines = [
-        f"# seed={report.seed} iterations={report.iterations}"
-        f" corpus_sha256={report.corpus_sha256} sample_size={report.sample_size}",
-        "algorithm,ll,lr,rl,rr,sum",
-    ]
+    lines = [_meta_line(report), "algorithm,ll,lr,rl,rr,sum"]
     for row in report.rows:
         avg = row.delete_average
         lines.append(",".join([row.strategy.label] + [repr(float(v)) for v in
@@ -326,3 +328,4 @@ def _render_csv(report: BenchmarkReport) -> str:
         lines.append(",".join(["percentage"] + [repr(float(v)) for v in
                                                 (p.ll, p.lr, p.rl, p.rr, p.sum)]))
     return "\n".join(lines) + "\n"
+

@@ -56,10 +56,6 @@ class StrategyTally:
         side = self.delete_counters if event.phase is Phase.DELETE else self.insert_counters
         side.bump(event.kind)
 
-    def record_all(self, events) -> None:
-        for event in events:
-            self.record(event)
-
     def average(self, phase: Phase) -> RotationCounters:
         counters = self.delete_counters if phase is Phase.DELETE else self.insert_counters
         return counters.averaged(self.iterations)

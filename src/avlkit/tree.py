@@ -2,17 +2,19 @@
 
 Every node stores a balance factor: the height of its right subtree minus
 the height of its left subtree, kept in {-1, 0, +1} between operations.
-No heights are stored. Rebalancing uses the four classic rotations (LL and
-RR single, LR and RL double); each rotation performed by insert or delete
-is reported back to the caller as a RotationEvent so that callers can
-count them.
+No heights are stored. The single rotations (LL, RR) derive exact new
+balances from the old ones, and each double rotation (LR, RL) is two
+singles. Insert and delete share one rebalancing step, which reports each
+rotation back to the caller as a RotationEvent so that callers can count
+them.
 
 Deletion of a node with two children is parameterized by a replacement
 strategy: always take the in-order predecessor (rightmost of the left
 subtree), always take the successor (leftmost of the right subtree), or
 pick the taller subtree as indicated by the balance factor. The last
 option usually leaves the node's balance within bounds and therefore
-skips a rotation at that node.
+skips a rotation at that node. The replacement node is removed by the
+ordinary delete descent; its key and value then move into the node.
 """
 
 from __future__ import annotations
@@ -119,92 +121,61 @@ class DeletionTrace:
     replacement_key: Any = None
 
 
-def rotate_ll(node: Node) -> Node:
-    """Single rotation for a left-heavy node; returns the new subtree root.
+def _rotate_ll(node: Node) -> Node:
+    """Single rotation that hoists the left child; returns the new subtree root.
 
-    The left child is hoisted into the node's place. Balance updates assume
-    the caller applies this only when rebalancing selects the LL case
-    (node transiently at -2, left child at -1 or 0; the 0 case arises only
-    while retracing a deletion).
+    New balances follow exactly from the old ones, whatever they were: with
+    n the node's balance and p the child's, the node ends at
+    n' = n + 1 - min(p, 0) and the child at p' = p + 1 + max(n', 0).
     """
     pivot = node.left
     if pivot is None:
         raise StructuralError("LL rotation requires a left child")
     node.left = pivot.right
     pivot.right = node
-    if pivot.balance == 0:
-        pivot.balance = 1
-        node.balance = -1
-    else:
-        pivot.balance = 0
-        node.balance = 0
+    p = pivot.balance
+    n = node.balance + 1 - p if p < 0 else node.balance + 1
+    node.balance = n
+    pivot.balance = p + 1 + n if n > 0 else p + 1
     return pivot
 
 
-def rotate_rr(node: Node) -> Node:
-    """Mirror image of rotate_ll: hoists the right child."""
+def _rotate_rr(node: Node) -> Node:
+    """Mirror image of _rotate_ll: n' = n - 1 - max(p, 0), p' = p - 1 + min(n', 0)."""
     pivot = node.right
     if pivot is None:
         raise StructuralError("RR rotation requires a right child")
     node.right = pivot.left
     pivot.left = node
-    if pivot.balance == 0:
-        pivot.balance = -1
-        node.balance = 1
-    else:
-        pivot.balance = 0
-        node.balance = 0
+    p = pivot.balance
+    n = node.balance - 1 - p if p > 0 else node.balance - 1
+    node.balance = n
+    pivot.balance = p - 1 + n if n < 0 else p - 1
     return pivot
+
+
+rotate_ll = _rotate_ll
+rotate_rr = _rotate_rr
 
 
 def rotate_lr(node: Node) -> Node:
     """Double rotation: the left child's right child becomes the subtree root.
 
-    New balances are a fixed table keyed on the grandchild's prior balance;
-    the grandchild always ends at 0.
+    RR on the left child, then LL on the node, through the private singles:
+    a wrapper on the public names never sees the transient middle state.
     """
-    left = node.left
-    if left is None or left.right is None:
+    if node.left is None:
         raise StructuralError("LR rotation requires a left child with a right child")
-    pivot = left.right
-    left.right = pivot.left
-    node.left = pivot.right
-    pivot.left = left
-    pivot.right = node
-    if pivot.balance == -1:
-        left.balance = 0
-        node.balance = 1
-    elif pivot.balance == 1:
-        left.balance = -1
-        node.balance = 0
-    else:
-        left.balance = 0
-        node.balance = 0
-    pivot.balance = 0
-    return pivot
+    node.left = _rotate_rr(node.left)
+    return _rotate_ll(node)
 
 
 def rotate_rl(node: Node) -> Node:
     """Mirror image of rotate_lr: the right child's left child is hoisted."""
-    right = node.right
-    if right is None or right.left is None:
+    if node.right is None:
         raise StructuralError("RL rotation requires a right child with a left child")
-    pivot = right.left
-    right.left = pivot.right
-    node.right = pivot.left
-    pivot.right = right
-    pivot.left = node
-    if pivot.balance == 1:
-        right.balance = 0
-        node.balance = -1
-    elif pivot.balance == -1:
-        right.balance = 1
-        node.balance = 0
-    else:
-        right.balance = 0
-        node.balance = 0
-    pivot.balance = 0
-    return pivot
+    node.right = _rotate_ll(node.right)
+    return _rotate_rr(node)
 
 
 def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
@@ -225,6 +196,27 @@ def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
 
 _INSERT = Phase.INSERT
 _DELETE = Phase.DELETE
+_ABSENT = object()
+
+
+def _rebalance(node, phase, events):
+    """Rotate a node at balance -2 or +2; returns the new subtree root.
+
+    Single when the taller child leans the same way or not at all, double
+    when it leans the other way. Rotations are called by their public
+    module names, so a wrapper installed there sees every one.
+    """
+    if node.balance < 0:
+        if node.left.balance > 0:
+            kind, node = RotationKind.LR, rotate_lr(node)
+        else:
+            kind, node = RotationKind.LL, rotate_ll(node)
+    elif node.right.balance < 0:
+        kind, node = RotationKind.RL, rotate_rl(node)
+    else:
+        kind, node = RotationKind.RR, rotate_rr(node)
+    events.append(RotationEvent(kind, phase))
+    return node
 
 
 def _insert(node, key, value, overwrite, events):
@@ -233,135 +225,74 @@ def _insert(node, key, value, overwrite, events):
         return Node(key, value), True, True, None
     if key < node.key:
         node.left, grew, inserted, old = _insert(node.left, key, value, overwrite, events)
-        if grew:
-            node.balance -= 1
-            if node.balance == -1:
-                return node, True, inserted, old
-            if node.balance == -2:
-                if node.left.balance > 0:
-                    node = rotate_lr(node)
-                    events.append(RotationEvent(RotationKind.LR, _INSERT))
-                else:
-                    node = rotate_ll(node)
-                    events.append(RotationEvent(RotationKind.LL, _INSERT))
-        return node, False, inserted, old
-    if key > node.key:
+        step = -1
+    elif key > node.key:
         node.right, grew, inserted, old = _insert(node.right, key, value, overwrite, events)
-        if grew:
-            node.balance += 1
-            if node.balance == 1:
-                return node, True, inserted, old
-            if node.balance == 2:
-                if node.right.balance < 0:
-                    node = rotate_rl(node)
-                    events.append(RotationEvent(RotationKind.RL, _INSERT))
-                else:
-                    node = rotate_rr(node)
-                    events.append(RotationEvent(RotationKind.RR, _INSERT))
-        return node, False, inserted, old
-    old = node.value
-    if overwrite:
-        node.value = value
-    return node, False, False, old
-
-
-def _rebalance_shrunk(node, events):
-    """Rebalance a node whose balance was just pushed by a child-height loss.
-
-    Returns (subtree, shrank): shrank is True when the subtree rooted here
-    is now one level shorter than before the deletion, which tells the
-    caller to keep retracing toward the root.
-    """
-    balance = node.balance
-    if balance == 0:
-        return node, True
-    if balance == -1 or balance == 1:
-        return node, False
-    if balance == 2:
-        if node.right.balance < 0:
-            node = rotate_rl(node)
-            events.append(RotationEvent(RotationKind.RL, _DELETE))
-        else:
-            node = rotate_rr(node)
-            events.append(RotationEvent(RotationKind.RR, _DELETE))
+        step = 1
     else:
-        if node.left.balance > 0:
-            node = rotate_lr(node)
-            events.append(RotationEvent(RotationKind.LR, _DELETE))
-        else:
-            node = rotate_ll(node)
-            events.append(RotationEvent(RotationKind.LL, _DELETE))
-    return node, node.balance == 0
-
-
-def _pop_rightmost(node, events):
-    """Unlink the rightmost node of a subtree. Returns (subtree, shrank, key, value)."""
-    if node.right is None:
-        return node.left, True, node.key, node.value
-    node.right, shrank, key, value = _pop_rightmost(node.right, events)
-    if not shrank:
-        return node, False, key, value
-    node.balance -= 1
-    node, shrank = _rebalance_shrunk(node, events)
-    return node, shrank, key, value
-
-
-def _pop_leftmost(node, events):
-    """Mirror of _pop_rightmost."""
-    if node.left is None:
-        return node.right, True, node.key, node.value
-    node.left, shrank, key, value = _pop_leftmost(node.left, events)
-    if not shrank:
-        return node, False, key, value
-    node.balance += 1
-    node, shrank = _rebalance_shrunk(node, events)
-    return node, shrank, key, value
+        old = node.value
+        if overwrite:
+            node.value = value
+        return node, False, False, old
+    if grew:
+        balance = node.balance + step
+        node.balance = balance
+        if balance == step:
+            return node, True, inserted, old
+        if balance != 0:
+            node = _rebalance(node, _INSERT, events)
+    return node, False, inserted, old
 
 
 def _delete(node, key, strategy, events, trace):
-    """Recursive delete. Returns (subtree, shrank, found, removed_value)."""
+    """Recursive delete. Returns (subtree, shrank, found, removed_value).
+
+    A two-child node takes the key and value of its heir, the extreme node
+    of the subtree select_replacement picks, once a descent from the node
+    has removed the heir; rotations keep the node in its in-order slot.
+    """
     if node is None:
         return None, False, False, None
     if key < node.key:
         node.left, shrank, found, value = _delete(node.left, key, strategy, events, trace)
-        if not shrank:
-            return node, False, found, value
-        node.balance += 1
-        node, shrank = _rebalance_shrunk(node, events)
-        return node, shrank, found, value
-    if key > node.key:
+        step = 1
+    elif key > node.key:
         node.right, shrank, found, value = _delete(node.right, key, strategy, events, trace)
-        if not shrank:
-            return node, False, found, value
-        node.balance -= 1
-        node, shrank = _rebalance_shrunk(node, events)
-        return node, shrank, found, value
-    value = node.value
-    if node.left is None:
-        return node.right, True, True, value
-    if node.right is None:
-        return node.left, True, True, value
-    direction = select_replacement(node, strategy)
-    if trace is not None:
-        trace.two_child = True
-        trace.node_balance = node.balance
-        trace.direction = direction
-    if direction is Direction.LEFT:
-        node.left, shrank, node.key, node.value = _pop_rightmost(node.left, events)
-        if trace is not None:
-            trace.replacement_key = node.key
-        if not shrank:
-            return node, False, True, value
-        node.balance += 1
+        step = -1
     else:
-        node.right, shrank, node.key, node.value = _pop_leftmost(node.right, events)
+        value = node.value
+        if node.left is None:
+            return node.right, True, True, value
+        if node.right is None:
+            return node.left, True, True, value
+        direction = select_replacement(node, strategy)
+        if direction is Direction.LEFT:
+            heir = node.left
+            while heir.right is not None:
+                heir = heir.right
+        else:
+            heir = node.right
+            while heir.left is not None:
+                heir = heir.left
         if trace is not None:
-            trace.replacement_key = node.key
-        if not shrank:
-            return node, False, True, value
-        node.balance -= 1
-    node, shrank = _rebalance_shrunk(node, events)
-    return node, shrank, True, value
+            trace.two_child = True
+            trace.node_balance = node.balance
+            trace.direction = direction
+            trace.replacement_key = heir.key
+        subtree, shrank, _, _ = _delete(node, heir.key, strategy, events, None)
+        node.key = heir.key
+        node.value = heir.value
+        return subtree, shrank, True, value
+    if not shrank:
+        return node, False, found, value
+    balance = node.balance + step
+    node.balance = balance
+    if balance == 0:
+        return node, True, found, value
+    if balance == step:
+        return node, False, found, value
+    node = _rebalance(node, _DELETE, events)
+    return node, node.balance == 0, found, value
 
 
 class AvlTree:
@@ -410,7 +341,6 @@ class AvlTree:
         self.root, _, inserted, old = _insert(self.root, key, value, True, events)
         if inserted:
             self.size += 1
-            return None, events
         return old, events
 
     def delete(self, key, strategy=ReplacementStrategy.OPTIMUM,
@@ -437,22 +367,16 @@ class AvlTree:
         return found, value, events
 
     def search(self, key) -> bool:
-        """Membership test using at most height + 1 key comparisons.
-
-        Descends with a single less-than per level, remembering the last
-        node passed on the right, and settles equality once at the bottom.
-        """
-        node = self.root
-        candidate = None
-        while node is not None:
-            if key < node.key:
-                node = node.left
-            else:
-                candidate = node
-                node = node.right
-        return candidate is not None and bool(candidate.key == key)
+        """Membership test: a get that tells a stored value from absence."""
+        return self.get(key, _ABSENT) is not _ABSENT
 
     def get(self, key, default=None):
+        """The value stored under key, or default when the key is absent.
+
+        Uses at most height + 1 key comparisons: descends with a single
+        less-than per level, remembering the last node passed on the right,
+        and settles equality once at the bottom.
+        """
         node = self.root
         candidate = None
         while node is not None:

@@ -56,6 +56,22 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             Corpus.from_words(["", "  "])
 
+    def test_from_words_matches_file_of_same_lines(self, tmp_path):
+        lines = ["  b", "a", "", "b", "caf\u00e9 "]
+        path = tmp_path / "words.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        from_file = load_corpus(path)
+        from_memory = Corpus.from_words(lines)
+        assert from_memory.words == from_file.words == ("b", "a", "caf\u00e9")
+        assert from_memory.original_count == from_file.original_count == 5
+        assert from_memory.sha256 == from_file.sha256
+
+    def test_non_utf8_file_rejected_with_its_name(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(CorpusError, match="latin1.txt"):
+            load_corpus(path)
+
 
 class TestExperimentConfig:
     def test_rejects_bad_values(self):

@@ -1,10 +1,11 @@
 """Rotation operations: structure, balance case tables, structural errors."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from avlkit import Node, StructuralError, rotate_ll, rotate_lr, rotate_rl, rotate_rr
 
-from reference import balance_errors, inorder_keys, shape_signature
+from reference import all_nodes, balance_errors, inorder_keys, recomputed_balance, shape_signature
 
 
 def build(key, left=None, right=None, balance=0):
@@ -72,6 +73,37 @@ class TestSingleRotations:
         child = build(2, left=leaf(1), right=leaf(3), balance=0)
         root = build(4, left=child, right=None, balance=-2)
         assert inorder_keys(rotate_ll(root)) == [1, 2, 3, 4]
+
+
+def plain_bst(keys):
+    """Unbalanced BST from insertion order, with true balances stored."""
+    root = None
+    for key in keys:
+        link, node = None, root
+        while node is not None:
+            link, node = node, (node.left if key < node.key else node.right)
+        if link is None:
+            root = leaf(key)
+        elif key < link.key:
+            link.left = leaf(key)
+        else:
+            link.right = leaf(key)
+    for node in all_nodes(root):
+        node.balance = recomputed_balance(node)
+    return root
+
+
+@given(st.lists(st.integers(0, 40), min_size=2, max_size=25, unique=True))
+def test_single_rotations_are_exact_for_any_balances(keys):
+    # not only the rebalancing cases: any starting balances, any heights
+    for rotate in (rotate_ll, rotate_rr):
+        root = plain_bst(keys)
+        if (root.left if rotate is rotate_ll else root.right) is None:
+            continue
+        rotated = rotate(root)
+        assert inorder_keys(rotated) == sorted(keys)
+        assert [n.balance for n in all_nodes(rotated)] == \
+            [recomputed_balance(n) for n in all_nodes(rotated)]
 
 
 def lr_instance(grandchild_balance):
@@ -191,16 +223,21 @@ class TestMirrorSymmetry:
         assert not balance_errors(rl_result)
 
 
+def key_balances(root):
+    return [(node.key, node.balance) for node in all_nodes(root)]
+
+
 class TestComposition:
     @pytest.mark.parametrize("grandchild_balance", [-1, 0, 1])
     def test_lr_equals_rr_then_ll_on_keys(self, grandchild_balance):
-        # the double rotation must place keys exactly where the two single
-        # rotations would; balances follow their own case table
+        # the double rotation must leave keys and balances exactly where the
+        # two single rotations would
         direct = rotate_lr(lr_instance(grandchild_balance))
         composed_root = lr_instance(grandchild_balance)
         composed_root.left = rotate_rr(composed_root.left)
         composed = rotate_ll(composed_root)
         assert shape_signature(direct) == shape_signature(composed)
+        assert key_balances(direct) == key_balances(composed)
 
     @pytest.mark.parametrize("grandchild_balance", [-1, 0, 1])
     def test_rl_equals_ll_then_rr_on_keys(self, grandchild_balance):
@@ -209,3 +246,4 @@ class TestComposition:
         composed_root.right = rotate_ll(composed_root.right)
         composed = rotate_rr(composed_root)
         assert shape_signature(direct) == shape_signature(composed)
+        assert key_balances(direct) == key_balances(composed)

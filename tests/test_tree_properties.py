@@ -2,9 +2,18 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from avlkit import AvlMap, AvlTree, DeletionTrace, Direction, ReplacementStrategy
+from avlkit import (
+    AvlMap,
+    AvlTree,
+    DeletionTrace,
+    Direction,
+    ReplacementStrategy,
+    RotationEvent,
+    RotationKind,
+)
 
 from reference import assert_tree_sane
 
@@ -119,3 +128,138 @@ def test_map_matches_dict_model(pairs, strategy):
         assert mapping.items() == sorted(model.items())
     for key in model:
         assert mapping.get(key) == model[key]
+
+
+class Tripped(Exception):
+    """Raised by a FuseKey comparison once the shared fuse has burnt down."""
+
+
+class Fuse:
+    """Comparison budget shared by a set of keys; None means unlimited."""
+
+    def __init__(self):
+        self.remaining = None
+        self.used = 0
+
+    def spend(self):
+        if self.remaining is not None:
+            if self.remaining == 0:
+                raise Tripped
+            self.remaining -= 1
+        self.used += 1
+
+
+class FuseKey:
+    """Integer key whose comparisons raise once its fuse reaches zero."""
+
+    __slots__ = ("n", "fuse")
+
+    def __init__(self, n, fuse):
+        self.n = n
+        self.fuse = fuse
+
+    def __lt__(self, other):
+        self.fuse.spend()
+        return self.n < other.n
+
+    def __gt__(self, other):
+        self.fuse.spend()
+        return self.n > other.n
+
+    def __eq__(self, other):
+        self.fuse.spend()
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
+
+
+def frozen(tree):
+    """Keys, values, balances and shape of a tree, plus its size."""
+
+    def walk(node):
+        if node is None:
+            return None
+        return (node.key.n, node.value, node.balance, walk(node.left), walk(node.right))
+
+    return walk(tree.root), tree.size
+
+
+def apply_op(tree, op, key, strategy):
+    if op == "insert":
+        return tree.insert(key)
+    if op == "put":
+        return tree.put(key, "new")
+    if op == "delete":
+        return tree.delete(key, strategy)
+    return tree.pop(key, strategy)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 40), max_size=40),
+       st.sampled_from(["insert", "put", "delete", "pop"]),
+       st.sampled_from(STRATEGIES), st.data())
+def test_raising_comparison_leaves_tree_unchanged(keys, op, strategy, data):
+    # the fuse burns on comparisons of the probe and of stored keys alike,
+    # so it also trips while a two-child deletion re-descends to its heir
+    target = data.draw(st.sampled_from(keys) if keys else st.integers(0, 40))
+    fuse = Fuse()
+    tree = AvlTree()
+    for n in keys:
+        tree.put(FuseKey(n, fuse), n)
+    before = frozen(tree)
+    expected = tree.clone()
+    fuse.used = 0
+    expected_result = apply_op(expected, op, FuseKey(target, fuse), strategy)
+    needed = fuse.used
+    for budget in range(needed):
+        trial = tree.clone()
+        fuse.remaining = budget
+        with pytest.raises(Tripped):
+            apply_op(trial, op, FuseKey(target, fuse), strategy)
+        fuse.remaining = None
+        assert frozen(trial) == before
+        assert trial.validate().ok
+    fuse.remaining = needed
+    assert apply_op(tree, op, FuseKey(target, fuse), strategy) == expected_result
+    fuse.remaining = None
+    assert frozen(tree) == frozen(expected)
+
+
+MIRRORED_KIND = {RotationKind.LL: RotationKind.RR, RotationKind.RR: RotationKind.LL,
+                 RotationKind.LR: RotationKind.RL, RotationKind.RL: RotationKind.LR}
+
+
+def mirrored_events(events):
+    return [RotationEvent(MIRRORED_KIND[event.kind], event.phase) for event in events]
+
+
+def reflection(node):
+    """Keys, balances and shape of the left-right mirror with negated keys."""
+    if node is None:
+        return None
+    return (-node.key, -node.balance, reflection(node.right), reflection(node.left))
+
+
+def layout(node):
+    if node is None:
+        return None
+    return (node.key, node.balance, layout(node.left), layout(node.right))
+
+
+@given(keys_strategy, keys_strategy, st.booleans())
+def test_negated_keys_mirror_shape_and_rotations(keys, doomed, predecessor_first):
+    # OPTIMUM is left out: its balance-0 tie-break picks LEFT on both trees
+    strategy, twin_strategy = (ReplacementStrategy.RIGHTMOST_OF_LEFT,
+                               ReplacementStrategy.LEFTMOST_OF_RIGHT)
+    if not predecessor_first:
+        strategy, twin_strategy = twin_strategy, strategy
+    tree, twin = AvlTree(), AvlTree()
+    for key in keys:
+        inserted, events = tree.insert(key)
+        assert twin.insert(-key) == (inserted, mirrored_events(events))
+        assert layout(twin.root) == reflection(tree.root)
+    for key in doomed:
+        deleted, events = tree.delete(key, strategy)
+        assert twin.delete(-key, twin_strategy) == (deleted, mirrored_events(events))
+        assert layout(twin.root) == reflection(tree.root)

@@ -5,11 +5,9 @@ from .bench import (
     Corpus,
     CorpusError,
     ExperimentConfig,
-    StrategyRow,
     load_corpus,
     render_report,
     run_experiment,
-    seeded_shuffle,
 )
 from .counters import PercentageRow, RotationCounters, StrategyTally, percentage_row
 from .map import AvlMap
@@ -55,7 +53,6 @@ __all__ = [
     "RotationEvent",
     "RotationKind",
     "SplitMix64",
-    "StrategyRow",
     "StrategyTally",
     "StructuralError",
     "ValidationReport",
@@ -70,6 +67,5 @@ __all__ = [
     "rotate_rl",
     "rotate_rr",
     "run_experiment",
-    "seeded_shuffle",
     "select_replacement",
 ]

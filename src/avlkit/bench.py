@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .counters import PercentageRow, RotationCounters, StrategyTally, percentage_row
+from .counters import PercentageRow, StrategyTally, percentage_row
 from .rng import SplitMix64, derive_seed
 from .tree import (
     DEFAULT_STRATEGY_ORDER,
     AvlTree,
-    Phase,
     ReplacementStrategy,
     StructuralError,
 )
@@ -89,13 +88,6 @@ def load_corpus(path) -> Corpus:
     return _parse_corpus(Path(path).read_bytes(), path)
 
 
-def seeded_shuffle(words, rng: SplitMix64) -> list:
-    """Return an unbiased Fisher-Yates permutation of `words` drawn from `rng`."""
-    permuted = list(words)
-    rng.shuffle(permuted)
-    return permuted
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     iterations: int = 100
@@ -113,56 +105,43 @@ class ExperimentConfig:
 
 
 @dataclass
-class StrategyRow:
-    """One strategy's accumulated totals and per-iteration averages."""
-
-    strategy: ReplacementStrategy
-    insert_totals: RotationCounters
-    delete_totals: RotationCounters
-    insert_average: RotationCounters
-    delete_average: RotationCounters
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "insert": {"totals": self.insert_totals.as_dict(),
-                       "averages": self.insert_average.as_dict()},
-            "delete": {"totals": self.delete_totals.as_dict(),
-                       "averages": self.delete_average.as_dict()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StrategyRow":
-        def counters(block):
-            return RotationCounters(block["ll"], block["lr"], block["rl"], block["rr"])
-
-        return cls(
-            strategy=ReplacementStrategy(data["strategy"]),
-            insert_totals=counters(data["insert"]["totals"]),
-            delete_totals=counters(data["delete"]["totals"]),
-            insert_average=counters(data["insert"]["averages"]),
-            delete_average=counters(data["delete"]["averages"]),
-        )
-
-
-@dataclass
 class BenchmarkReport:
-    """Per-strategy rotation averages plus the percentage comparison row."""
+    """Per-strategy rotation totals; averages and percentages are derived."""
 
     seed: int
     iterations: int
     corpus_sha256: str
     sample_size: Optional[int]
-    rows: list[StrategyRow]
-    percentages: Optional[PercentageRow]
+    rows: list[StrategyTally]
 
-    def row_for(self, strategy: ReplacementStrategy) -> StrategyRow:
+    def row_for(self, strategy: ReplacementStrategy) -> StrategyTally:
         for row in self.rows:
             if row.strategy is strategy:
                 return row
         raise KeyError(strategy)
 
+    def _ran_all_strategies(self) -> bool:
+        return {row.strategy for row in self.rows} == set(DEFAULT_STRATEGY_ORDER)
+
+    @property
+    def percentages(self) -> Optional[PercentageRow]:
+        """Optimum's delete averages against the two fixed strategies'.
+
+        None unless all three strategies ran and no baseline column
+        averaged zero rotations.
+        """
+        if not self._ran_all_strategies():
+            return None
+        average = {row.strategy: row.delete_average for row in self.rows}
+        try:
+            return percentage_row(average[ReplacementStrategy.OPTIMUM],
+                                  average[ReplacementStrategy.RIGHTMOST_OF_LEFT],
+                                  average[ReplacementStrategy.LEFTMOST_OF_RIGHT])
+        except ValueError:
+            return None  # tiny corpora can produce zero-rotation baselines
+
     def to_dict(self) -> dict:
+        percentages = self.percentages
         return {
             "config": {
                 "seed": self.seed,
@@ -171,20 +150,19 @@ class BenchmarkReport:
                 "sample_size": self.sample_size,
             },
             "rows": [row.to_dict() for row in self.rows],
-            "percentages": None if self.percentages is None else self.percentages.as_dict(),
+            "percentages": None if percentages is None else percentages.as_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkReport":
+        """Inverse of to_dict; averages and percentages are derived again, not read."""
         config = data["config"]
-        pct = data["percentages"]
         return cls(
             seed=config["seed"],
             iterations=config["iterations"],
             corpus_sha256=config["corpus_sha256"],
             sample_size=config["sample_size"],
-            rows=[StrategyRow.from_dict(row) for row in data["rows"]],
-            percentages=None if pct is None else PercentageRow(**pct),
+            rows=[StrategyTally.from_dict(row, config["iterations"]) for row in data["rows"]],
         )
 
 
@@ -206,8 +184,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     Per iteration and strategy: start from an empty tree, insert every word
     in one shuffled order, delete every word in another, and verify the
     tree ends empty. Shuffle orders depend only on (seed, iteration), never
-    on the strategy. The percentage row is filled in when all three
-    strategies ran and the baselines are non-degenerate.
+    on the strategy.
     """
     words = _experiment_words(corpus, config)
     if not words:
@@ -217,8 +194,10 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
 
     for iteration in range(config.iterations):
         rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
-        insert_order = seeded_shuffle(words, rng)
-        delete_order = seeded_shuffle(words, rng)
+        insert_order = words[:]
+        rng.shuffle(insert_order)
+        delete_order = words[:]
+        rng.shuffle(delete_order)
         for strategy in config.strategies:
             record = tallies[strategy].record
             tree = AvlTree()
@@ -244,35 +223,12 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
             if tree.size != 0 or tree.root is not None:
                 raise StructuralError("tree not empty after delete phase")
 
-    rows = []
-    for strategy in config.strategies:
-        tally = tallies[strategy]
-        rows.append(StrategyRow(
-            strategy=strategy,
-            insert_totals=tally.insert_counters,
-            delete_totals=tally.delete_counters,
-            insert_average=tally.average(Phase.INSERT),
-            delete_average=tally.average(Phase.DELETE),
-        ))
-
-    percentages = None
-    if set(config.strategies) == set(DEFAULT_STRATEGY_ORDER):
-        report_rows = {row.strategy: row for row in rows}
-        optimum = report_rows[ReplacementStrategy.OPTIMUM].delete_average
-        a = report_rows[ReplacementStrategy.RIGHTMOST_OF_LEFT].delete_average
-        b = report_rows[ReplacementStrategy.LEFTMOST_OF_RIGHT].delete_average
-        try:
-            percentages = percentage_row(optimum, a, b)
-        except ValueError:
-            percentages = None  # tiny corpora can produce zero-rotation baselines
-
     return BenchmarkReport(
         seed=config.seed,
         iterations=config.iterations,
         corpus_sha256=corpus.sha256,
         sample_size=config.sample_size,
-        rows=rows,
-        percentages=percentages,
+        rows=[tallies[strategy] for strategy in config.strategies],
     )
 
 
@@ -297,35 +253,39 @@ def _meta_line(report: BenchmarkReport) -> str:
             f" corpus_sha256={report.corpus_sha256} sample_size={report.sample_size}")
 
 
+def _delete_rows(report: BenchmarkReport, percentage_label: str):
+    """The (label, LL..Sum values) rows of a rendering, and its closing notes.
+
+    One row per strategy's delete averages, then the percentage row. When
+    all three strategies ran but the percentage row is missing, a note
+    says why.
+    """
+    rows = [(row.strategy.label, row.delete_average.as_dict().values())
+            for row in report.rows]
+    notes = []
+    percentages = report.percentages
+    if percentages is not None:
+        rows.append((percentage_label, percentages.as_dict().values()))
+    elif report._ran_all_strategies():
+        notes.append("# no percentage row: a baseline column averaged zero rotations")
+    return rows, notes
+
+
 def _render_table(report: BenchmarkReport) -> str:
+    rows, notes = _delete_rows(report, "Percentage")
     header = ["Algorithm", "LL", "LR", "RL", "RR", "Sum"]
-    body: list[list[str]] = []
-    for row in report.rows:
-        avg = row.delete_average
-        body.append([row.strategy.label] + [f"{round(v):,}" for v in
-                                            (avg.ll, avg.lr, avg.rl, avg.rr, avg.sum)])
-    if report.percentages is not None:
-        p = report.percentages
-        body.append(["Percentage"] + [f"{round(v):,}" for v in
-                                      (p.ll, p.lr, p.rl, p.rr, p.sum)])
+    body = [[label] + [f"{round(v):,}" for v in values] for label, values in rows]
     widths = [max(len(line[i]) for line in [header] + body) for i in range(6)]
     lines = []
     for line in [header] + body:
         cells = [line[0].ljust(widths[0])]
         cells += [cell.rjust(widths[i + 1]) for i, cell in enumerate(line[1:])]
         lines.append("  ".join(cells).rstrip())
-    return "\n".join([_meta_line(report)] + lines) + "\n"
+    return "\n".join([_meta_line(report)] + lines + notes) + "\n"
 
 
 def _render_csv(report: BenchmarkReport) -> str:
+    rows, notes = _delete_rows(report, "percentage")
     lines = [_meta_line(report), "algorithm,ll,lr,rl,rr,sum"]
-    for row in report.rows:
-        avg = row.delete_average
-        lines.append(",".join([row.strategy.label] + [repr(float(v)) for v in
-                                                      (avg.ll, avg.lr, avg.rl, avg.rr, avg.sum)]))
-    if report.percentages is not None:
-        p = report.percentages
-        lines.append(",".join(["percentage"] + [repr(float(v)) for v in
-                                                (p.ll, p.lr, p.rl, p.rr, p.sum)]))
-    return "\n".join(lines) + "\n"
-
+    lines += [",".join([label] + [repr(float(v)) for v in values]) for label, values in rows]
+    return "\n".join(lines + notes) + "\n"

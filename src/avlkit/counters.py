@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind
 
@@ -44,21 +44,48 @@ class RotationCounters:
 
 @dataclass
 class StrategyTally:
-    """Rotation counters for one strategy's run, split by operation phase."""
+    """One strategy's rotation totals, split by operation phase.
+
+    Only totals are stored; the per-iteration averages are derived from them.
+    """
 
     strategy: ReplacementStrategy
     iterations: int = 0
-    insert_counters: RotationCounters = field(default_factory=RotationCounters)
-    delete_counters: RotationCounters = field(default_factory=RotationCounters)
+    insert_totals: RotationCounters = field(default_factory=RotationCounters)
+    delete_totals: RotationCounters = field(default_factory=RotationCounters)
 
     def record(self, event: RotationEvent) -> None:
         """Increment exactly one counter, chosen by the event's kind and phase."""
-        side = self.delete_counters if event.phase is Phase.DELETE else self.insert_counters
+        side = self.delete_totals if event.phase is Phase.DELETE else self.insert_totals
         side.bump(event.kind)
 
-    def average(self, phase: Phase) -> RotationCounters:
-        counters = self.delete_counters if phase is Phase.DELETE else self.insert_counters
-        return counters.averaged(self.iterations)
+    @property
+    def insert_average(self) -> RotationCounters:
+        return self.insert_totals.averaged(self.iterations)
+
+    @property
+    def delete_average(self) -> RotationCounters:
+        return self.delete_totals.averaged(self.iterations)
+
+    def to_dict(self) -> dict:
+        def phase(totals):
+            return {"totals": totals.as_dict(),
+                    "averages": totals.averaged(self.iterations).as_dict()}
+
+        return {"strategy": self.strategy.value,
+                "insert": phase(self.insert_totals),
+                "delete": phase(self.delete_totals)}
+
+    @classmethod
+    def from_dict(cls, data: dict, iterations: int) -> "StrategyTally":
+        """Inverse of to_dict; the averages are derived again, not read."""
+
+        def totals(phase):
+            block = data[phase]["totals"]
+            return RotationCounters(block["ll"], block["lr"], block["rl"], block["rr"])
+
+        return cls(ReplacementStrategy(data["strategy"]), iterations,
+                   totals("insert"), totals("delete"))
 
 
 @dataclass
@@ -72,8 +99,7 @@ class PercentageRow:
     sum: float
 
     def as_dict(self) -> dict:
-        return {"ll": self.ll, "lr": self.lr, "rl": self.rl, "rr": self.rr,
-                "sum": self.sum}
+        return asdict(self)
 
 
 def percentage_row(optimum: RotationCounters, baseline_a: RotationCounters,
@@ -90,10 +116,6 @@ def percentage_row(optimum: RotationCounters, baseline_a: RotationCounters,
             raise ValueError("degenerate baseline: column mean is zero")
         return 100.0 * opt / mean
 
-    return PercentageRow(
-        ll=pct(optimum.ll, baseline_a.ll, baseline_b.ll),
-        lr=pct(optimum.lr, baseline_a.lr, baseline_b.lr),
-        rl=pct(optimum.rl, baseline_a.rl, baseline_b.rl),
-        rr=pct(optimum.rr, baseline_a.rr, baseline_b.rr),
-        sum=pct(optimum.sum, baseline_a.sum, baseline_b.sum),
-    )
+    columns = zip(optimum.as_dict().values(), baseline_a.as_dict().values(),
+                  baseline_b.as_dict().values())
+    return PercentageRow(*(pct(*column) for column in columns))

@@ -220,51 +220,51 @@ def _rebalance(node, phase, events):
 
 
 def _insert(node, key, value, overwrite, events):
-    """Recursive insert. Returns (subtree, grew, inserted, previous_value)."""
+    """Recursive insert. Returns (subtree, grew, previous value or _ABSENT)."""
     if node is None:
-        return Node(key, value), True, True, None
+        return Node(key, value), True, _ABSENT
     if key < node.key:
-        node.left, grew, inserted, old = _insert(node.left, key, value, overwrite, events)
+        node.left, grew, old = _insert(node.left, key, value, overwrite, events)
         step = -1
     elif key > node.key:
-        node.right, grew, inserted, old = _insert(node.right, key, value, overwrite, events)
+        node.right, grew, old = _insert(node.right, key, value, overwrite, events)
         step = 1
     else:
         old = node.value
         if overwrite:
             node.value = value
-        return node, False, False, old
+        return node, False, old
     if grew:
         balance = node.balance + step
         node.balance = balance
         if balance == step:
-            return node, True, inserted, old
+            return node, True, old
         if balance != 0:
             node = _rebalance(node, _INSERT, events)
-    return node, False, inserted, old
+    return node, False, old
 
 
 def _delete(node, key, strategy, events, trace):
-    """Recursive delete. Returns (subtree, shrank, found, removed_value).
+    """Recursive delete. Returns (subtree, shrank, removed value or _ABSENT).
 
     A two-child node takes the key and value of its heir, the extreme node
     of the subtree select_replacement picks, once a descent from the node
     has removed the heir; rotations keep the node in its in-order slot.
     """
     if node is None:
-        return None, False, False, None
+        return None, False, _ABSENT
     if key < node.key:
-        node.left, shrank, found, value = _delete(node.left, key, strategy, events, trace)
+        node.left, shrank, value = _delete(node.left, key, strategy, events, trace)
         step = 1
     elif key > node.key:
-        node.right, shrank, found, value = _delete(node.right, key, strategy, events, trace)
+        node.right, shrank, value = _delete(node.right, key, strategy, events, trace)
         step = -1
     else:
         value = node.value
         if node.left is None:
-            return node.right, True, True, value
+            return node.right, True, value
         if node.right is None:
-            return node.left, True, True, value
+            return node.left, True, value
         direction = select_replacement(node, strategy)
         if direction is Direction.LEFT:
             heir = node.left
@@ -279,20 +279,20 @@ def _delete(node, key, strategy, events, trace):
             trace.node_balance = node.balance
             trace.direction = direction
             trace.replacement_key = heir.key
-        subtree, shrank, _, _ = _delete(node, heir.key, strategy, events, None)
+        subtree, shrank, _ = _delete(node, heir.key, strategy, events, None)
         node.key = heir.key
         node.value = heir.value
-        return subtree, shrank, True, value
+        return subtree, shrank, value
     if not shrank:
-        return node, False, found, value
+        return node, False, value
     balance = node.balance + step
     node.balance = balance
     if balance == 0:
-        return node, True, found, value
+        return node, True, value
     if balance == step:
-        return node, False, found, value
+        return node, False, value
     node = _rebalance(node, _DELETE, events)
-    return node, node.balance == 0, found, value
+    return node, node.balance == 0, value
 
 
 class AvlTree:
@@ -327,7 +327,8 @@ class AvlTree:
         An insertion performs at most one rotation (single or double).
         """
         events: list[RotationEvent] = []
-        self.root, _, inserted, _ = _insert(self.root, key, None, False, events)
+        self.root, _, old = _insert(self.root, key, None, False, events)
+        inserted = old is _ABSENT
         if inserted:
             self.size += 1
         return inserted, events
@@ -338,9 +339,10 @@ class AvlTree:
         Overwriting an existing key changes no structure and emits no events.
         """
         events: list[RotationEvent] = []
-        self.root, _, inserted, old = _insert(self.root, key, value, True, events)
-        if inserted:
+        self.root, _, old = _insert(self.root, key, value, True, events)
+        if old is _ABSENT:
             self.size += 1
+            return None, events
         return old, events
 
     def delete(self, key, strategy=ReplacementStrategy.OPTIMUM,
@@ -361,10 +363,11 @@ class AvlTree:
         Returns (found, value, rotations).
         """
         events: list[RotationEvent] = []
-        self.root, _, found, value = _delete(self.root, key, strategy, events, trace)
-        if found:
-            self.size -= 1
-        return found, value, events
+        self.root, _, value = _delete(self.root, key, strategy, events, trace)
+        if value is _ABSENT:
+            return False, None, events
+        self.size -= 1
+        return True, value, events
 
     def search(self, key) -> bool:
         """Membership test: a get that tells a stored value from absence."""

@@ -1,6 +1,8 @@
 """Benchmark harness: corpus loading, experiment runs, report rendering."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,9 @@ from avlkit import (
     render_report,
     run_experiment,
 )
+from avlkit.cli import main
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_words_10k.txt"
 
 
 @pytest.fixture
@@ -137,6 +142,9 @@ class TestRunExperiment:
         report = run_experiment(small_corpus, config)
         assert [row.strategy for row in report.rows] == [ReplacementStrategy.OPTIMUM]
         assert report.percentages is None
+        for fmt in ("table", "csv"):  # no comparison was asked for, so no note either
+            lines = render_report(report, fmt).splitlines()
+            assert [line for line in lines if line.startswith("#")] == lines[:1]
 
     def test_sample_size_is_deterministic_subset(self, small_corpus):
         a = run_experiment(small_corpus, small_config(sample_size=10))
@@ -212,3 +220,35 @@ class TestRenderReport:
         report = run_experiment(small_corpus, small_config())
         with pytest.raises(ValueError):
             render_report(report, "xml")
+
+    def test_degenerate_baseline_is_explained(self):
+        report = run_experiment(Corpus.from_words(["solo"]), ExperimentConfig(iterations=1))
+        note = "# no percentage row: a baseline column averaged zero rotations"
+        for fmt in ("table", "csv"):
+            lines = render_report(report, fmt).splitlines()
+            assert lines[-1] == note
+            assert sum(line.startswith("#") for line in lines) == 2
+            assert not any(line.lower().startswith("percentage") for line in lines)
+
+
+class TestPinnedReport:
+    """The bundled corpus' report bytes, pinned so no refactor changes them."""
+
+    MD5 = {
+        "table": "c76f3c135c8e6fdd31b16e833f5eadb7",
+        "csv": "a0d2cd09b6905a3444bf0dd729c25329",
+        "json": "9bdf6e15626be1c278f6831d238113ea",
+    }
+
+    def test_bench_output_and_json_round_trip_are_pinned(self, capsys):
+        outputs = {}
+        for fmt in self.MD5:
+            code = main(["bench", "--corpus", str(SAMPLE_CORPUS), "--sample-size", "500",
+                         "--iterations", "3", "--seed", "11", "--format", fmt])
+            assert code == 0
+            outputs[fmt] = capsys.readouterr().out
+        for fmt, text in outputs.items():
+            assert hashlib.md5(text.encode("utf-8")).hexdigest() == self.MD5[fmt], fmt
+        parsed = BenchmarkReport.from_dict(json.loads(outputs["json"]))
+        for fmt, text in outputs.items():
+            assert render_report(parsed, fmt) == text, fmt

@@ -22,14 +22,14 @@ class TestRecord:
     def test_delete_event_goes_to_delete_side(self):
         t = tally()
         t.record(RotationEvent(RotationKind.LL, Phase.DELETE))
-        assert t.delete_counters.as_dict() == {"ll": 1, "lr": 0, "rl": 0, "rr": 0, "sum": 1}
-        assert t.insert_counters.sum == 0
+        assert t.delete_totals.as_dict() == {"ll": 1, "lr": 0, "rl": 0, "rr": 0, "sum": 1}
+        assert t.insert_totals.sum == 0
 
     def test_insert_event_goes_to_insert_side(self):
         t = tally()
         t.record(RotationEvent(RotationKind.LR, Phase.INSERT))
-        assert t.insert_counters.lr == 1
-        assert t.delete_counters.sum == 0
+        assert t.insert_totals.lr == 1
+        assert t.delete_totals.sum == 0
 
     def test_conservation(self):
         t = tally()
@@ -39,7 +39,7 @@ class TestRecord:
         for i in range(57):
             t.record(RotationEvent(kinds[i % 4], phases[i % 2]))
             k += 1
-        assert t.insert_counters.sum + t.delete_counters.sum == k
+        assert t.insert_totals.sum + t.delete_totals.sum == k
 
 
 class TestAverage:
@@ -55,7 +55,7 @@ class TestAverage:
         with pytest.raises(ValueError):
             RotationCounters(1, 2, 3, 4).averaged(0)
         with pytest.raises(ValueError):
-            StrategyTally(ReplacementStrategy.OPTIMUM).average(Phase.DELETE)
+            StrategyTally(ReplacementStrategy.OPTIMUM).delete_average
 
     def test_record_then_average_equals_presummed(self):
         t = StrategyTally(ReplacementStrategy.OPTIMUM, iterations=4)
@@ -63,7 +63,7 @@ class TestAverage:
             t.record(RotationEvent(RotationKind.RR, Phase.DELETE))
         for _ in range(2):
             t.record(RotationEvent(RotationKind.RL, Phase.DELETE))
-        assert t.average(Phase.DELETE) == RotationCounters(0, 0, 2, 8).averaged(4)
+        assert t.delete_average == RotationCounters(0, 0, 2, 8).averaged(4)
 
 
 class TestPercentageRow:

@@ -197,6 +197,31 @@ class TestDelete:
             assert len(events) <= height_before
 
 
+class TestStoredNone:
+    """A stored None is a value like any other, not the absence of a key."""
+
+    def test_put_none_twice_keeps_one_key(self):
+        tree = AvlTree()
+        assert tree.put("k", None) == (None, [])
+        assert tree.put("k", None) == (None, [])
+        assert tree.size == 1
+        assert "k" in tree
+
+    def test_pop_of_stored_none_is_found(self):
+        tree = AvlTree()
+        tree.put("k", None)
+        assert tree.pop("k") == (True, None, [])
+        assert tree.size == 0
+        assert tree.pop("k") == (False, None, [])
+        assert tree.size == 0
+
+    def test_duplicate_insert_into_set_tree_is_rejected(self):
+        tree = AvlTree([2, 1, 3])
+        assert tree.insert(2) == (False, [])
+        assert tree.size == 3
+        assert_tree_sane(tree, "after duplicate insert")
+
+
 class TestSelectReplacement:
     def test_fixed_strategies_ignore_balance(self):
         for balance in (-1, 0, 1):

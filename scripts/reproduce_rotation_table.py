@@ -43,7 +43,7 @@ def main() -> int:
     report = run_experiment(corpus, config)
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
-    print(render_report(report, "table"))
+    sys.stdout.write(render_report(report, "table"))
     out_dir = args.out_dir or args.corpus.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"rotations_{args.corpus.stem}_s{args.seed}_i{args.iterations}"

@@ -1,4 +1,10 @@
-"""AVL tree with pluggable deletion replacement strategies and a rotation benchmark."""
+"""AVL tree with pluggable deletion replacement strategies and a rotation benchmark.
+
+The package exports what a caller constructs, passes, compares, catches or
+calls. Internals stay in their modules: the node, the rotations and the
+strategy rule in avlkit.tree, the rotation tallies in avlkit.counters, and
+the seeded generator in avlkit.rng.
+"""
 
 from .bench import (
     BenchmarkReport,
@@ -9,28 +15,17 @@ from .bench import (
     render_report,
     run_experiment,
 )
-from .counters import PercentageRow, RotationCounters, StrategyTally, percentage_row
 from .map import AvlMap
-from .rng import SplitMix64, derive_seed
 from .tree import (
-    DEFAULT_STRATEGY_ORDER,
     AvlTree,
     DeletionTrace,
     Direction,
-    Node,
     Phase,
     ReplacementStrategy,
     RotationEvent,
     RotationKind,
     StructuralError,
-    ValidationReport,
-    Violation,
     format_tree,
-    rotate_ll,
-    rotate_lr,
-    rotate_rl,
-    rotate_rr,
-    select_replacement,
 )
 
 __version__ = "0.1.0"
@@ -41,31 +36,16 @@ __all__ = [
     "BenchmarkReport",
     "Corpus",
     "CorpusError",
-    "DEFAULT_STRATEGY_ORDER",
     "DeletionTrace",
     "Direction",
     "ExperimentConfig",
-    "Node",
-    "PercentageRow",
     "Phase",
     "ReplacementStrategy",
-    "RotationCounters",
     "RotationEvent",
     "RotationKind",
-    "SplitMix64",
-    "StrategyTally",
     "StructuralError",
-    "ValidationReport",
-    "Violation",
-    "derive_seed",
     "format_tree",
     "load_corpus",
-    "percentage_row",
     "render_report",
-    "rotate_ll",
-    "rotate_lr",
-    "rotate_rl",
-    "rotate_rr",
     "run_experiment",
-    "select_replacement",
 ]

@@ -18,12 +18,7 @@ from typing import Optional
 
 from .counters import PercentageRow, StrategyTally, percentage_row
 from .rng import SplitMix64, derive_seed
-from .tree import (
-    DEFAULT_STRATEGY_ORDER,
-    AvlTree,
-    ReplacementStrategy,
-    StructuralError,
-)
+from .tree import AvlTree, ReplacementStrategy, StructuralError
 
 
 class CorpusError(ValueError):
@@ -34,6 +29,13 @@ class CorpusError(ValueError):
 # of the per-iteration shuffle streams.
 _SHUFFLE_STREAM = 0
 _SAMPLE_STREAM = 1
+
+# Row labels of the table and csv renderings.
+_ROW_LABELS = {
+    ReplacementStrategy.RIGHTMOST_OF_LEFT: "Rightmost of Left",
+    ReplacementStrategy.LEFTMOST_OF_RIGHT: "Leftmost of Right",
+    ReplacementStrategy.OPTIMUM: "Optimum",
+}
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ def load_corpus(path) -> Corpus:
 class ExperimentConfig:
     iterations: int = 100
     seed: int = 1
-    strategies: tuple[ReplacementStrategy, ...] = DEFAULT_STRATEGY_ORDER
+    strategies: tuple[ReplacementStrategy, ...] = tuple(ReplacementStrategy)
     sample_size: Optional[int] = None
 
     def __post_init__(self):
@@ -100,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("iterations must be positive")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        repeated = [strategy.value for strategy in dict.fromkeys(self.strategies)
+                    if self.strategies.count(strategy) > 1]
+        if repeated:
+            raise ValueError(f"strategy listed more than once: {', '.join(repeated)}")
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError("sample_size must be positive")
 
@@ -121,7 +127,7 @@ class BenchmarkReport:
         raise KeyError(strategy)
 
     def _ran_all_strategies(self) -> bool:
-        return {row.strategy for row in self.rows} == set(DEFAULT_STRATEGY_ORDER)
+        return {row.strategy for row in self.rows} == set(ReplacementStrategy)
 
     @property
     def percentages(self) -> Optional[PercentageRow]:
@@ -260,7 +266,7 @@ def _delete_rows(report: BenchmarkReport, percentage_label: str):
     all three strategies ran but the percentage row is missing, a note
     says why.
     """
-    rows = [(row.strategy.label, row.delete_average.as_dict().values())
+    rows = [(_ROW_LABELS[row.strategy], row.delete_average.as_dict().values())
             for row in report.rows]
     notes = []
     percentages = report.percentages

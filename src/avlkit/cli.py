@@ -9,14 +9,7 @@ from typing import Optional
 from .bench import ExperimentConfig, load_corpus, render_report, run_experiment
 from .map import AvlMap
 from .rng import SplitMix64, derive_seed
-from .tree import (
-    DEFAULT_STRATEGY_ORDER,
-    AvlTree,
-    DeletionTrace,
-    ReplacementStrategy,
-    StructuralError,
-    format_tree,
-)
+from .tree import AvlTree, DeletionTrace, ReplacementStrategy, StructuralError, format_tree
 
 _STRATEGY_TOKENS = {
     "rightmost": ReplacementStrategy.RIGHTMOST_OF_LEFT,
@@ -61,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_bench(args) -> int:
     if args.strategy == "all":
-        strategies = DEFAULT_STRATEGY_ORDER
+        strategies = tuple(ReplacementStrategy)
     else:
         strategies = (_STRATEGY_TOKENS[args.strategy],)
     try:
@@ -88,7 +81,7 @@ def cmd_check(args) -> int:
     universe = max(16, args.ops // 10)
     tree_map = AvlMap()
     model: dict = {}
-    strategies = list(DEFAULT_STRATEGY_ORDER)
+    strategies = list(ReplacementStrategy)
     counts = {"insert": 0, "delete": 0, "search": 0}
 
     def divergence(index, key, expected, actual) -> int:
@@ -140,13 +133,7 @@ def cmd_check(args) -> int:
 
 
 def _parse_keys(text: str) -> list[int]:
-    keys = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        keys.append(int(part))
-    return keys
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_demo(args) -> int:

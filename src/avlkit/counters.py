@@ -60,10 +60,6 @@ class StrategyTally:
         side.bump(event.kind)
 
     @property
-    def insert_average(self) -> RotationCounters:
-        return self.insert_totals.averaged(self.iterations)
-
-    @property
     def delete_average(self) -> RotationCounters:
         return self.delete_totals.averaged(self.iterations)
 

@@ -46,29 +46,14 @@ class RotationEvent(NamedTuple):
 
 
 class ReplacementStrategy(Enum):
-    """How a two-child deletion picks the node that fills the vacated slot."""
+    """How a two-child deletion picks the node that fills the vacated slot.
+
+    Member order is the row order of benchmark reports.
+    """
 
     RIGHTMOST_OF_LEFT = "rightmost_of_left"
     LEFTMOST_OF_RIGHT = "leftmost_of_right"
     OPTIMUM = "optimum"
-
-    @property
-    def label(self) -> str:
-        return _STRATEGY_LABELS[self]
-
-
-_STRATEGY_LABELS = {
-    ReplacementStrategy.RIGHTMOST_OF_LEFT: "Rightmost of Left",
-    ReplacementStrategy.LEFTMOST_OF_RIGHT: "Leftmost of Right",
-    ReplacementStrategy.OPTIMUM: "Optimum",
-}
-
-#: Row order used by benchmark reports.
-DEFAULT_STRATEGY_ORDER = (
-    ReplacementStrategy.RIGHTMOST_OF_LEFT,
-    ReplacementStrategy.LEFTMOST_OF_RIGHT,
-    ReplacementStrategy.OPTIMUM,
-)
 
 
 class Direction(Enum):

@@ -22,10 +22,10 @@ from avlkit import (
     Direction,
     ExperimentConfig,
     ReplacementStrategy,
-    SplitMix64,
     load_corpus,
     run_experiment,
 )
+from avlkit.rng import SplitMix64
 
 from reference import balance_errors, inorder_keys, shape_signature
 

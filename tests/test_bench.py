@@ -86,6 +86,9 @@ class TestExperimentConfig:
             ExperimentConfig(strategies=())
         with pytest.raises(ValueError):
             ExperimentConfig(sample_size=0)
+        with pytest.raises(ValueError, match="optimum"):
+            ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM,
+                                         ReplacementStrategy.OPTIMUM))
 
     def test_sample_size_above_corpus_rejected(self, small_corpus):
         with pytest.raises(ValueError):

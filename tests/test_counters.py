@@ -3,15 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from avlkit import (
-    Phase,
-    ReplacementStrategy,
-    RotationCounters,
-    RotationEvent,
-    RotationKind,
-    StrategyTally,
-    percentage_row,
-)
+from avlkit import Phase, ReplacementStrategy, RotationEvent, RotationKind
+from avlkit.counters import RotationCounters, StrategyTally, percentage_row
 
 
 def tally():

@@ -1,6 +1,7 @@
 """AvlMap: overwrite semantics, value migration through deletions."""
 
-from avlkit import AvlMap, ReplacementStrategy, SplitMix64
+from avlkit import AvlMap, ReplacementStrategy
+from avlkit.rng import SplitMix64
 
 
 def test_insert_into_empty_returns_none():

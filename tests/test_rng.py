@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from avlkit import SplitMix64, derive_seed
+from avlkit.rng import SplitMix64, derive_seed
 
 
 def shuffled(items, rng):

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from avlkit import Node, StructuralError, rotate_ll, rotate_lr, rotate_rl, rotate_rr
+from avlkit import StructuralError
+from avlkit.tree import Node, rotate_ll, rotate_lr, rotate_rl, rotate_rr
 
 from reference import all_nodes, balance_errors, inorder_keys, recomputed_balance, shape_signature
 

@@ -1,0 +1,37 @@
+"""The two scripts under scripts/, run as a user runs them."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import test_acceptance
+import test_bench
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO_ROOT / "scripts"
+SAMPLE_CORPUS = REPO_ROOT / "data" / "sample_words_10k.txt"
+
+
+def run_script(name, *args):
+    result = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
+                            capture_output=True, check=True)
+    return result.stdout
+
+
+def test_reproduce_script_writes_the_pinned_report(tmp_path):
+    table = run_script("reproduce_rotation_table.py", "--corpus", SAMPLE_CORPUS,
+                       "--sample-size", 500, "--iterations", 3, "--seed", 11,
+                       "--out-dir", tmp_path)
+    outputs = {"table": table}
+    for fmt in ("csv", "json"):
+        outputs[fmt] = (tmp_path / f"rotations_sample_words_10k_s11_i3.{fmt}").read_bytes()
+    for fmt, data in outputs.items():
+        assert hashlib.md5(data).hexdigest() == test_bench.TestPinnedReport.MD5[fmt], fmt
+
+
+def test_corpus_script_regenerates_the_bundled_corpus(tmp_path):
+    out = tmp_path / "words.txt"
+    run_script("make_sample_corpus.py", "--count", 10000, "--out", out)
+    assert out.read_bytes() == SAMPLE_CORPUS.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == test_acceptance.SAMPLE_CORPUS_SHA256

@@ -8,14 +8,13 @@ from avlkit import (
     AvlTree,
     DeletionTrace,
     Direction,
-    Node,
     Phase,
     ReplacementStrategy,
     RotationKind,
-    SplitMix64,
     StructuralError,
-    select_replacement,
 )
+from avlkit.rng import SplitMix64
+from avlkit.tree import Node, select_replacement
 
 from reference import assert_tree_sane, balance_errors, inorder_keys
 

@@ -6,6 +6,12 @@ from dataclasses import asdict, dataclass, field
 
 from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind
 
+# Bound once: looking an enum member up on its class costs more than a bump.
+_LL = RotationKind.LL
+_LR = RotationKind.LR
+_RL = RotationKind.RL
+_DELETE = Phase.DELETE
+
 
 @dataclass
 class RotationCounters:
@@ -21,11 +27,11 @@ class RotationCounters:
         return self.ll + self.lr + self.rl + self.rr
 
     def bump(self, kind: RotationKind) -> None:
-        if kind is RotationKind.LL:
+        if kind is _LL:
             self.ll += 1
-        elif kind is RotationKind.LR:
+        elif kind is _LR:
             self.lr += 1
-        elif kind is RotationKind.RL:
+        elif kind is _RL:
             self.rl += 1
         else:
             self.rr += 1
@@ -56,7 +62,7 @@ class StrategyTally:
 
     def record(self, event: RotationEvent) -> None:
         """Increment exactly one counter, chosen by the event's kind and phase."""
-        side = self.delete_totals if event.phase is Phase.DELETE else self.insert_totals
+        side = self.delete_totals if event.phase is _DELETE else self.insert_totals
         side.bump(event.kind)
 
     @property

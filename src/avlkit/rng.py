@@ -55,11 +55,24 @@ class SplitMix64:
                 return r
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        below = self.below
+        """In-place Fisher-Yates shuffle.
+
+        Draws j exactly as below(i + 1) would, with next_u64 and _mix
+        inlined and the state written back once at the end, so the
+        permutation and the final state are those of the plain loop.
+        """
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = below(i + 1)
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                j = (z ^ (z >> 31)) & mask
+                if j <= i:
+                    break
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
     def choice(self, items):
         return items[self.below(len(items))]

@@ -13,8 +13,11 @@ strategy: always take the in-order predecessor (rightmost of the left
 subtree), always take the successor (leftmost of the right subtree), or
 pick the taller subtree as indicated by the balance factor. The last
 option usually leaves the node's balance within bounds and therefore
-skips a rotation at that node. The replacement node is removed by the
-ordinary delete descent; its key and value then move into the node.
+skips a rotation at that node. The replacement node is reached by links
+from the node and spliced out; its key and value move into the node.
+
+Insert and delete are loops over the kept path of nodes from the root:
+every key comparison happens on the way down, before anything changes.
 """
 
 from __future__ import annotations
@@ -163,6 +166,18 @@ def rotate_rl(node: Node) -> Node:
     return _rotate_rr(node)
 
 
+# Enum members and rotation events bound once: looking a member up on its
+# class costs more than the hot-path work around it.
+_RIGHTMOST_OF_LEFT = ReplacementStrategy.RIGHTMOST_OF_LEFT
+_LEFTMOST_OF_RIGHT = ReplacementStrategy.LEFTMOST_OF_RIGHT
+_LEFT = Direction.LEFT
+_RIGHT = Direction.RIGHT
+# One event per kind, in RotationKind order: LL, LR, RL, RR.
+_INSERT_EVENTS = tuple(RotationEvent(kind, Phase.INSERT) for kind in RotationKind)
+_DELETE_EVENTS = tuple(RotationEvent(kind, Phase.DELETE) for kind in RotationKind)
+_ABSENT = object()
+
+
 def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
     """Pick which subtree supplies the replacement for a two-child deletion.
 
@@ -172,19 +187,14 @@ def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
     """
     if node.left is None or node.right is None:
         raise StructuralError("replacement selection requires a node with two children")
-    if strategy is ReplacementStrategy.RIGHTMOST_OF_LEFT:
-        return Direction.LEFT
-    if strategy is ReplacementStrategy.LEFTMOST_OF_RIGHT:
-        return Direction.RIGHT
-    return Direction.RIGHT if node.balance > 0 else Direction.LEFT
+    if strategy is _RIGHTMOST_OF_LEFT:
+        return _LEFT
+    if strategy is _LEFTMOST_OF_RIGHT:
+        return _RIGHT
+    return _RIGHT if node.balance > 0 else _LEFT
 
 
-_INSERT = Phase.INSERT
-_DELETE = Phase.DELETE
-_ABSENT = object()
-
-
-def _rebalance(node, phase, events):
+def _rebalance(node, phase_events, events):
     """Rotate a node at balance -2 or +2; returns the new subtree root.
 
     Single when the taller child leans the same way or not at all, double
@@ -193,91 +203,146 @@ def _rebalance(node, phase, events):
     """
     if node.balance < 0:
         if node.left.balance > 0:
-            kind, node = RotationKind.LR, rotate_lr(node)
+            index, node = 1, rotate_lr(node)
         else:
-            kind, node = RotationKind.LL, rotate_ll(node)
+            index, node = 0, rotate_ll(node)
     elif node.right.balance < 0:
-        kind, node = RotationKind.RL, rotate_rl(node)
+        index, node = 2, rotate_rl(node)
     else:
-        kind, node = RotationKind.RR, rotate_rr(node)
-    events.append(RotationEvent(kind, phase))
+        index, node = 3, rotate_rr(node)
+    events.append(phase_events[index])
     return node
 
 
-def _insert(node, key, value, overwrite, events):
-    """Recursive insert. Returns (subtree, grew, previous value or _ABSENT)."""
-    if node is None:
-        return Node(key, value), True, _ABSENT
-    if key < node.key:
-        node.left, grew, old = _insert(node.left, key, value, overwrite, events)
-        step = -1
-    elif key > node.key:
-        node.right, grew, old = _insert(node.right, key, value, overwrite, events)
-        step = 1
-    else:
-        old = node.value
-        if overwrite:
-            node.value = value
-        return node, False, old
-    if grew:
-        balance = node.balance + step
-        node.balance = balance
-        if balance == step:
-            return node, True, old
-        if balance != 0:
-            node = _rebalance(node, _INSERT, events)
-    return node, False, old
+def _insert(tree, key, value, overwrite, events):
+    """Insert into tree; returns the previous value, or _ABSENT for a new key.
 
-
-def _delete(node, key, strategy, events, trace):
-    """Recursive delete. Returns (subtree, shrank, removed value or _ABSENT).
-
-    A two-child node takes the key and value of its heir, the extreme node
-    of the subtree select_replacement picks, once a descent from the node
-    has removed the heir; rotations keep the node in its in-order slot.
+    One descent with a single less-than per level, as in get, keeps the
+    path. After the new leaf is linked, balances change from its parent up
+    to the first node whose balance was nonzero (Knuth's Algorithm A), the
+    only one that can need a rotation. Every comparison precedes every
+    mutation.
     """
-    if node is None:
-        return None, False, _ABSENT
-    if key < node.key:
-        node.left, shrank, value = _delete(node.left, key, strategy, events, trace)
-        step = 1
-    elif key > node.key:
-        node.right, shrank, value = _delete(node.right, key, strategy, events, trace)
-        step = -1
+    node = tree.root
+    path = []
+    candidate = None
+    while node is not None:
+        path.append(node)
+        if key < node.key:
+            node = node.left
+        else:
+            candidate = node
+            node = node.right
+    if candidate is not None and not candidate.key < key:
+        old = candidate.value
+        if overwrite:
+            candidate.value = value
+        return old
+    tree.size += 1
+    node = Node(key, value)
+    if not path:
+        tree.root = node
+        return _ABSENT
+    if path[-1] is candidate:
+        candidate.right = node
     else:
-        value = node.value
-        if node.left is None:
-            return node.right, True, value
-        if node.right is None:
-            return node.left, True, value
+        path[-1].left = node
+    for i in range(len(path) - 1, -1, -1):
+        parent = path[i]
+        step = -1 if parent.left is node else 1
+        balance = parent.balance + step
+        parent.balance = balance
+        if balance == step:  # was 0: this subtree grew too
+            node = parent
+            continue
+        if balance:
+            subtree = _rebalance(parent, _INSERT_EVENTS, events)
+            if i == 0:
+                tree.root = subtree
+            elif path[i - 1].left is parent:
+                path[i - 1].left = subtree
+            else:
+                path[i - 1].right = subtree
+        break
+    return _ABSENT
+
+
+def _delete(tree, key, strategy, events, trace):
+    """Delete from tree; returns the removed value, or _ABSENT for a missing key.
+
+    The descent keeps the path. A two-child node takes the key and value of
+    its heir, the extreme node of the subtree select_replacement picks,
+    reached by links; the heir is spliced out instead. Retracing climbs
+    the path and stops once a subtree's height is unchanged. Every
+    comparison precedes every mutation.
+    """
+    node = tree.root
+    path = []
+    while node is not None:
+        if key < node.key:
+            path.append(node)
+            node = node.left
+        elif key > node.key:
+            path.append(node)
+            node = node.right
+        else:
+            break
+    else:
+        return _ABSENT
+    value = node.value
+    if node.left is not None and node.right is not None:
         direction = select_replacement(node, strategy)
-        if direction is Direction.LEFT:
+        path.append(node)
+        if direction is _LEFT:
             heir = node.left
             while heir.right is not None:
+                path.append(heir)
                 heir = heir.right
         else:
             heir = node.right
             while heir.left is not None:
+                path.append(heir)
                 heir = heir.left
         if trace is not None:
             trace.two_child = True
             trace.node_balance = node.balance
             trace.direction = direction
             trace.replacement_key = heir.key
-        subtree, shrank, _ = _delete(node, heir.key, strategy, events, None)
         node.key = heir.key
         node.value = heir.value
-        return subtree, shrank, value
-    if not shrank:
-        return node, False, value
-    balance = node.balance + step
-    node.balance = balance
-    if balance == 0:
-        return node, True, value
-    if balance == step:
-        return node, False, value
-    node = _rebalance(node, _DELETE, events)
-    return node, node.balance == 0, value
+        node = heir
+    tree.size -= 1
+    child = node.right if node.left is None else node.left
+    if not path:
+        tree.root = child
+        return value
+    parent = path[-1]
+    if parent.left is node:
+        parent.left = child
+        step = 1
+    else:
+        parent.right = child
+        step = -1
+    for i in range(len(path) - 1, -1, -1):
+        node = path[i]
+        balance = node.balance + step
+        node.balance = balance
+        if balance == step:
+            break
+        subtree = node if balance == 0 else _rebalance(node, _DELETE_EVENTS, events)
+        if i == 0:
+            tree.root = subtree
+            break
+        parent = path[i - 1]
+        if parent.left is node:
+            parent.left = subtree
+            step = 1
+        else:
+            parent.right = subtree
+            step = -1
+        if subtree.balance:
+            break
+    return value
 
 
 class AvlTree:
@@ -312,11 +377,7 @@ class AvlTree:
         An insertion performs at most one rotation (single or double).
         """
         events: list[RotationEvent] = []
-        self.root, _, old = _insert(self.root, key, None, False, events)
-        inserted = old is _ABSENT
-        if inserted:
-            self.size += 1
-        return inserted, events
+        return _insert(self, key, None, False, events) is _ABSENT, events
 
     def put(self, key, value) -> tuple[Optional[Any], list[RotationEvent]]:
         """Insert or overwrite a key's value. Returns (previous value, rotations).
@@ -324,11 +385,8 @@ class AvlTree:
         Overwriting an existing key changes no structure and emits no events.
         """
         events: list[RotationEvent] = []
-        self.root, _, old = _insert(self.root, key, value, True, events)
-        if old is _ABSENT:
-            self.size += 1
-            return None, events
-        return old, events
+        old = _insert(self, key, value, True, events)
+        return (None if old is _ABSENT else old), events
 
     def delete(self, key, strategy=ReplacementStrategy.OPTIMUM,
                trace: Optional[DeletionTrace] = None) -> tuple[bool, list[RotationEvent]]:
@@ -338,8 +396,8 @@ class AvlTree:
         runs from the removal point toward the root, so one deletion can
         emit several rotation events.
         """
-        found, _, events = self.pop(key, strategy, trace)
-        return found, events
+        events: list[RotationEvent] = []
+        return _delete(self, key, strategy, events, trace) is not _ABSENT, events
 
     def pop(self, key, strategy=ReplacementStrategy.OPTIMUM,
             trace: Optional[DeletionTrace] = None):
@@ -348,10 +406,9 @@ class AvlTree:
         Returns (found, value, rotations).
         """
         events: list[RotationEvent] = []
-        self.root, _, value = _delete(self.root, key, strategy, events, trace)
+        value = _delete(self, key, strategy, events, trace)
         if value is _ABSENT:
             return False, None, events
-        self.size -= 1
         return True, value, events
 
     def search(self, key) -> bool:
@@ -373,7 +430,7 @@ class AvlTree:
             else:
                 candidate = node
                 node = node.right
-        if candidate is not None and candidate.key == key:
+        if candidate is not None and not candidate.key < key:
             return candidate.value
         return default
 

@@ -62,3 +62,139 @@ def assert_tree_sane(tree, context="") -> None:
     assert not errors, f"{context}: {errors[:5]}"
     assert is_strict_bst(tree.root), f"{context}: BST order broken"
     assert len(inorder_keys(tree.root)) == tree.size, f"{context}: size mismatch"
+
+
+class _RefNode:
+    __slots__ = ("key", "value", "left", "right")
+
+    def __init__(self, key, value):
+        self.key = key
+        self.value = value
+        self.left = None
+        self.right = None
+
+
+def _rotate_right(node):
+    pivot = node.left
+    node.left = pivot.right
+    pivot.right = node
+    return pivot
+
+
+def _rotate_left(node):
+    pivot = node.right
+    node.right = pivot.left
+    pivot.left = node
+    return pivot
+
+
+def _restore(node, kinds):
+    """Rotate node if its subtrees' heights differ by two; record the kind."""
+    diff = subtree_height(node.right) - subtree_height(node.left)
+    if diff < -1:
+        if subtree_height(node.left.right) > subtree_height(node.left.left):
+            kinds.append("LR")
+            node.left = _rotate_left(node.left)
+        else:
+            kinds.append("LL")
+        return _rotate_right(node)
+    if diff > 1:
+        if subtree_height(node.right.left) > subtree_height(node.right.right):
+            kinds.append("RL")
+            node.right = _rotate_right(node.right)
+        else:
+            kinds.append("RR")
+        return _rotate_left(node)
+    return node
+
+
+def _pop_max(node, kinds):
+    if node.right is None:
+        return node.left, node
+    node.right, heir = _pop_max(node.right, kinds)
+    return _restore(node, kinds), heir
+
+
+def _pop_min(node, kinds):
+    if node.left is None:
+        return node.right, node
+    node.left, heir = _pop_min(node.left, kinds)
+    return _restore(node, kinds), heir
+
+
+class ReferenceAvl:
+    """Naive recursive AVL map: no stored balances, heights recomputed each time.
+
+    Written independently of avlkit.tree as a per-operation oracle. Every
+    node on the path is checked on the way back up, with no early stop. A
+    two-child deletion takes its heir by the strategy's value
+    ("rightmost_of_left", "leftmost_of_right", or "optimum": the taller
+    subtree, the left one on a tie). Mutations return
+    (found, stored value or None, rotation kinds in the order made).
+    """
+
+    def __init__(self):
+        self.root = None
+
+    def insert(self, key, value=None, overwrite=False):
+        kinds = []
+        self.root, found, old = self._insert(self.root, key, value, overwrite, kinds)
+        return found, old, kinds
+
+    def delete(self, key, strategy):
+        kinds = []
+        self.root, found, value = self._delete(self.root, key, strategy, kinds)
+        return found, value, kinds
+
+    def _insert(self, node, key, value, overwrite, kinds):
+        if node is None:
+            return _RefNode(key, value), False, None
+        if key == node.key:
+            old = node.value
+            if overwrite:
+                node.value = value
+            return node, True, old
+        if key < node.key:
+            node.left, found, old = self._insert(node.left, key, value, overwrite, kinds)
+        else:
+            node.right, found, old = self._insert(node.right, key, value, overwrite, kinds)
+        return _restore(node, kinds), found, old
+
+    def _delete(self, node, key, strategy, kinds):
+        if node is None:
+            return None, False, None
+        if key < node.key:
+            node.left, found, value = self._delete(node.left, key, strategy, kinds)
+        elif node.key < key:
+            node.right, found, value = self._delete(node.right, key, strategy, kinds)
+        else:
+            found, value = True, node.value
+            if node.left is None:
+                return node.right, found, value
+            if node.right is None:
+                return node.left, found, value
+            taller_right = subtree_height(node.right) > subtree_height(node.left)
+            if strategy == "leftmost_of_right" or strategy == "optimum" and taller_right:
+                node.right, heir = _pop_min(node.right, kinds)
+            else:
+                node.left, heir = _pop_max(node.left, kinds)
+            node.key, node.value = heir.key, heir.value
+        return _restore(node, kinds), found, value
+
+
+def recomputed_layout(node) -> list:
+    """(key, value, balance from recomputed heights) of every node, in order."""
+    layout = []
+
+    def walk(node):
+        if node is None:
+            return 0
+        left = walk(node.left)
+        layout.append(None)
+        slot = len(layout) - 1
+        right = walk(node.right)
+        layout[slot] = (node.key, node.value, right - left)
+        return 1 + max(left, right)
+
+    walk(node)
+    return layout

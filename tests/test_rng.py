@@ -31,6 +31,26 @@ def test_shuffle_is_a_permutation(items, seed):
     assert sorted(shuffled(items, rng)) == sorted(items)
 
 
+def fisher_yates_on_below(items, rng):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, derive_seed(3, 0, 1)])
+def test_shuffle_draws_as_below_does(seed):
+    # the golden permutation alone would not see a lost state write-back:
+    # two shuffles on one generator, as run_experiment does, then one draw
+    for size in [*range(71), 1000]:
+        rng, model = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(2):
+            items, expected = list(range(size)), list(range(size))
+            rng.shuffle(items)
+            fisher_yates_on_below(expected, model)
+            assert items == expected
+        assert rng.next_u64() == model.next_u64()
+
+
 def test_same_seed_same_stream():
     a = SplitMix64(123456)
     b = SplitMix64(123456)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from avlkit import (
+    AvlMap,
     AvlTree,
     DeletionTrace,
     Direction,
@@ -305,6 +306,57 @@ class TestSearch:
             CountingKey.comparisons = 0
             tree.search(probe)
             assert CountingKey.comparisons <= height + 1
+
+
+class LessThanOnly:
+    """Key ordered by __lt__ alone; == falls back to identity."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def __lt__(self, other):
+        return self.n < other.n
+
+
+class TestLessThanOnlyKeys:
+    """Equal keys are those neither of which is less than the other."""
+
+    def tree(self):
+        return AvlTree(LessThanOnly(n) for n in (5, 3, 8, 1, 4, 7, 9))
+
+    def test_duplicate_insert_and_put(self):
+        tree = self.tree()
+        assert tree.insert(LessThanOnly(4)) == (False, [])
+        assert tree.put(LessThanOnly(4), "four") == (None, [])
+        assert tree.put(LessThanOnly(4), "FOUR") == ("four", [])
+        assert tree.size == 7
+        assert tree.validate().ok
+
+    def test_delete(self):
+        tree = self.tree()
+        assert tree.delete(LessThanOnly(5))[0] is True
+        assert tree.delete(LessThanOnly(5))[0] is False
+        assert [key.n for key in tree] == [1, 3, 4, 7, 8, 9]
+        assert tree.validate().ok
+
+    def test_lookups_find_stored_keys(self):
+        tree = self.tree()
+        tree.put(LessThanOnly(1), "one")
+        for n in (1, 3, 4, 5, 7, 8, 9):
+            assert tree.search(LessThanOnly(n)) is True
+            assert LessThanOnly(n) in tree
+        assert tree.get(LessThanOnly(1)) == "one"
+        assert tree.get(LessThanOnly(6), "none") == "none"
+        assert tree.search(LessThanOnly(6)) is False
+        assert LessThanOnly(0) not in tree
+
+    def test_map_get(self):
+        mapping = AvlMap((LessThanOnly(n), n * 10) for n in range(20))
+        assert [mapping.get(LessThanOnly(n)) for n in range(20)] == [n * 10 for n in range(20)]
+        assert mapping.get(LessThanOnly(20), -1) == -1
+        assert LessThanOnly(19) in mapping
 
 
 class TestInOrder:

@@ -10,12 +10,13 @@ from avlkit import (
     AvlTree,
     DeletionTrace,
     Direction,
+    Phase,
     ReplacementStrategy,
     RotationEvent,
     RotationKind,
 )
 
-from reference import assert_tree_sane
+from reference import ReferenceAvl, assert_tree_sane, recomputed_layout, shape_signature
 
 STRATEGIES = list(ReplacementStrategy)
 
@@ -130,6 +131,47 @@ def test_map_matches_dict_model(pairs, strategy):
         assert mapping.get(key) == model[key]
 
 
+def stored_layout(node) -> list:
+    """(key, value, stored balance) of every node, in order."""
+    if node is None:
+        return []
+    return (stored_layout(node.left) + [(node.key, node.value, node.balance)]
+            + stored_layout(node.right))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-30, 30), max_size=60),
+       st.lists(st.tuples(st.sampled_from(["insert", "put", "delete", "pop"]),
+                          st.integers(-30, 30)), max_size=60),
+       st.permutations(range(-30, 31)))
+def test_every_operation_matches_the_reference(built, mixed, doomed):
+    # a build, mixed work, then a full teardown: deletions from grown trees
+    # are the ones that rotate more than once
+    ops = [("insert", key) for key in built] + mixed + [("pop", key) for key in doomed]
+    for strategy in STRATEGIES:
+        tree, reference = AvlTree(), ReferenceAvl()
+        for step, (op, key) in enumerate(ops):
+            if op == "insert":
+                found, _, kinds = reference.insert(key)
+                result, expected = tree.insert(key), (not found,)
+            elif op == "put":
+                _, old, kinds = reference.insert(key, step, overwrite=True)
+                result, expected = tree.put(key, step), (old,)
+            elif op == "delete":
+                found, _, kinds = reference.delete(key, strategy.value)
+                result, expected = tree.delete(key, strategy), (found,)
+            else:
+                found, value, kinds = reference.delete(key, strategy.value)
+                result, expected = tree.pop(key, strategy), (found, value)
+            phase = Phase.INSERT if op in ("insert", "put") else Phase.DELETE
+            events = [RotationEvent(RotationKind(kind), phase) for kind in kinds]
+            assert result == (*expected, events)
+            assert shape_signature(tree.root) == shape_signature(reference.root)
+            layout = stored_layout(tree.root)
+            assert layout == recomputed_layout(reference.root)
+            assert tree.size == len(layout)
+
+
 class Tripped(Exception):
     """Raised by a FuseKey comparison once the shared fuse has burnt down."""
 
@@ -201,7 +243,7 @@ def apply_op(tree, op, key, strategy):
        st.sampled_from(STRATEGIES), st.data())
 def test_raising_comparison_leaves_tree_unchanged(keys, op, strategy, data):
     # the fuse burns on comparisons of the probe and of stored keys alike,
-    # so it also trips while a two-child deletion re-descends to its heir
+    # so it trips at every point of the descent
     target = data.draw(st.sampled_from(keys) if keys else st.integers(0, 40))
     fuse = Fuse()
     tree = AvlTree()

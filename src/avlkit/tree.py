@@ -18,6 +18,11 @@ from the node and spliced out; its key and value move into the node.
 
 Insert and delete are loops over the kept path of nodes from the root:
 every key comparison happens on the way down, before anything changes.
+
+validate(), height(), clone() and format_tree() use no recursion: they
+share one explicit-stack walk, bounded so that a node reached twice (a
+cycle or a shared subtree) ends it. validate() reports such a node as a
+"cycle" violation; the others raise StructuralError naming its key.
 """
 
 from __future__ import annotations
@@ -345,6 +350,50 @@ def _delete(tree, key, strategy, events, trace):
     return value
 
 
+def _post_order(root, size):
+    """Reachable nodes, children before parents and left before right.
+
+    Returns (nodes, None), or (None, node) for the first node reached
+    twice. A pre-order that takes the right child first, reversed; only
+    left children are stacked. It is not capped at size, which a grafted
+    subtree may exceed: past size nodes, each time that count doubles, and
+    at the end unless it reached exactly size nodes, it looks for a repeat.
+    A cycle stops after O(n) steps; a correct tree never pays for the check.
+    """
+    nodes, stack = [], []
+    append, push, pop = nodes.append, stack.append, stack.pop
+    node = root
+    budget = size + 1
+    while node is not None:
+        for _ in range(budget):
+            append(node)
+            if node.left is not None:
+                push(node.left)
+            node = node.right
+            if node is None:
+                if not stack:
+                    break
+                node = pop()
+        if len(nodes) != size:
+            seen = set()
+            for reached in nodes:
+                if reached in seen:
+                    return None, reached
+                seen.add(reached)
+        budget = len(nodes) + 1
+    nodes.reverse()
+    return nodes, None
+
+
+def _nodes_once(tree):
+    """_post_order of a tree; StructuralError names a node reached twice."""
+    nodes, repeat = _post_order(tree.root, tree.size)
+    if repeat is not None:
+        raise StructuralError(
+            f"node {repeat.key!r} is reached twice: the links form a cycle or share a subtree")
+    return nodes
+
+
 class AvlTree:
     """Set-semantics AVL tree over totally ordered keys.
 
@@ -455,28 +504,31 @@ class AvlTree:
 
     def height(self) -> int:
         """Actual tree height, recomputed by traversal (O(n); for checks and demos)."""
-
-        def walk(node):
-            if node is None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        heights = []
+        push, pop = heights.append, heights.pop
+        for node in _nodes_once(self):
+            height = pop() if node.right is not None else 0
+            if node.left is not None:
+                left = pop()
+                if left > height:
+                    height = left
+            push(height + 1)
+        return heights[0] if heights else 0
 
     def clone(self) -> "AvlTree":
         """Structural deep copy (keys and values are shared, links are not)."""
-
-        def copy(node):
-            if node is None:
-                return None
+        twins = []
+        push, pop = twins.append, twins.pop
+        for node in _nodes_once(self):
             twin = Node(node.key, node.value)
             twin.balance = node.balance
-            twin.left = copy(node.left)
-            twin.right = copy(node.right)
-            return twin
-
+            if node.right is not None:
+                twin.right = pop()
+            if node.left is not None:
+                twin.left = pop()
+            push(twin)
         other = AvlTree()
-        other.root = copy(self.root)
+        other.root = twins[0] if twins else None
         other.size = self.size
         return other
 
@@ -485,43 +537,56 @@ class AvlTree:
 
         Reports violations of: strict BST ordering, the height-difference
         bound, stored balance versus recomputed height difference, and the
-        size count.
+        size count. A node reached twice by following links is reported
+        alone, as one "cycle" violation. The walk uses no recursion.
         """
         report = ValidationReport()
         violations = report.violations
-
-        def walk(node):
-            # returns (height, count, min_key, max_key) of the subtree
-            if node is None:
-                return 0, 0, None, None
-            left_h, left_n, left_min, left_max = walk(node.left)
-            right_h, right_n, right_min, right_max = walk(node.right)
-            if left_max is not None and not left_max < node.key:
+        nodes, repeat = _post_order(self.root, self.size)
+        if repeat is not None:
+            violations.append(Violation(
+                "cycle", repeat.key,
+                "node reached twice: the links form a cycle or share a subtree"))
+            return report
+        # (height, lo, hi) of each finished subtree; lo and hi are the
+        # node key widened by the left subtree's lo and the right's hi
+        results = []
+        push, pop = results.append, results.pop
+        for node in nodes:
+            key = node.key
+            right = node.right
+            if right is None:
+                right_h, hi = 0, key
+            else:
+                right_h, right_lo, hi = pop()
+            if node.left is None:
+                left_h, lo = 0, key
+            else:
+                left_h, lo, left_hi = pop()
+                if not left_hi < key:
+                    violations.append(Violation(
+                        "bst-order", key,
+                        f"left subtree max {left_hi!r} is not below the node key"))
+                    lo = min(lo, key)
+            if right is not None and not key < right_lo:
                 violations.append(Violation(
-                    "bst-order", node.key,
-                    f"left subtree max {left_max!r} is not below the node key"))
-            if right_min is not None and not node.key < right_min:
-                violations.append(Violation(
-                    "bst-order", node.key,
-                    f"right subtree min {right_min!r} is not above the node key"))
+                    "bst-order", key,
+                    f"right subtree min {right_lo!r} is not above the node key"))
+                hi = max(hi, key)
             diff = right_h - left_h
-            if abs(diff) > 1:
+            if diff > 1 or diff < -1:
                 violations.append(Violation(
-                    "avl-height", node.key,
+                    "avl-height", key,
                     f"subtree heights {left_h} and {right_h} differ by more than one"))
             if node.balance != diff:
                 violations.append(Violation(
-                    "balance-mismatch", node.key,
+                    "balance-mismatch", key,
                     f"stored balance {node.balance}, recomputed {diff}"))
-            lo = node.key if left_min is None else min(left_min, node.key)
-            hi = node.key if right_max is None else max(right_max, node.key)
-            return max(left_h, right_h) + 1, left_n + right_n + 1, lo, hi
-
-        _, count, _, _ = walk(self.root)
-        if count != self.size:
+            push(((left_h if left_h > right_h else right_h) + 1, lo, hi))
+        if len(nodes) != self.size:
             violations.append(Violation(
                 "size-mismatch", None,
-                f"size says {self.size}, found {count} reachable nodes"))
+                f"size says {self.size}, found {len(nodes)} reachable nodes"))
         return report
 
 
@@ -529,17 +594,18 @@ def format_tree(tree: AvlTree) -> str:
     """Indented text rendering of a tree with per-node balances."""
     if tree.root is None:
         return "(empty)"
+    _nodes_once(tree)  # raises on a node reached twice, before any drawing
     lines: list[str] = []
-
-    def draw(node, prefix, child_prefix, tag):
+    stack = [(tree.root, "", "", "")]
+    while stack:
+        node, prefix, child_prefix, tag = stack.pop()
         lines.append(f"{prefix}{tag}{node.key} ({node.balance})")
         children = [(node.left, "L: "), (node.right, "R: ")]
         present = [(child, tag) for child, tag in children if child is not None]
-        for i, (child, child_tag) in enumerate(present):
+        for i in range(len(present) - 1, -1, -1):  # pushed last to first, drawn first to last
+            child, child_tag = present[i]
             last = i == len(present) - 1
             branch = "`-- " if last else "|-- "
             extension = "    " if last else "|   "
-            draw(child, child_prefix + branch, child_prefix + extension, child_tag)
-
-    draw(tree.root, "", "", "")
+            stack.append((child, child_prefix + branch, child_prefix + extension, child_tag))
     return "\n".join(lines)

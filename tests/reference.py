@@ -198,3 +198,47 @@ def recomputed_layout(node) -> list:
 
     walk(node)
     return layout
+
+
+def reference_violations(tree) -> list:
+    """(kind, key, detail) of every violation, by the recursive walk validate() once was.
+
+    Kept frozen in logic and messages as the oracle for the library's
+    iterative validate() on trees (no node reachable twice); recursion
+    limits the depth it can check.
+    """
+    violations = []
+
+    def walk(node):
+        # returns (height, count, min_key, max_key) of the subtree
+        if node is None:
+            return 0, 0, None, None
+        left_h, left_n, left_min, left_max = walk(node.left)
+        right_h, right_n, right_min, right_max = walk(node.right)
+        if left_max is not None and not left_max < node.key:
+            violations.append((
+                "bst-order", node.key,
+                f"left subtree max {left_max!r} is not below the node key"))
+        if right_min is not None and not node.key < right_min:
+            violations.append((
+                "bst-order", node.key,
+                f"right subtree min {right_min!r} is not above the node key"))
+        diff = right_h - left_h
+        if abs(diff) > 1:
+            violations.append((
+                "avl-height", node.key,
+                f"subtree heights {left_h} and {right_h} differ by more than one"))
+        if node.balance != diff:
+            violations.append((
+                "balance-mismatch", node.key,
+                f"stored balance {node.balance}, recomputed {diff}"))
+        lo = node.key if left_min is None else min(left_min, node.key)
+        hi = node.key if right_max is None else max(right_max, node.key)
+        return max(left_h, right_h) + 1, left_n + right_n + 1, lo, hi
+
+    _, count, _, _ = walk(tree.root)
+    if count != tree.size:
+        violations.append((
+            "size-mismatch", None,
+            f"size says {tree.size}, found {count} reachable nodes"))
+    return violations

@@ -13,6 +13,7 @@ from avlkit import (
     ReplacementStrategy,
     RotationKind,
     StructuralError,
+    format_tree,
 )
 from avlkit.rng import SplitMix64
 from avlkit.tree import Node, select_replacement
@@ -408,6 +409,102 @@ class TestValidate:
         tree.root.balance = 1
         tree.validate()
         assert tree.root.balance == 1
+
+
+def cycle_tree():
+    tree = AvlTree([4, 2, 5, 1, 3])
+    tree.root.left.left = tree.root
+    return tree
+
+
+def shared_link_tree():
+    tree = AvlTree([4, 2, 5, 1, 3])
+    tree.root.right.left = tree.root.left
+    return tree
+
+
+def chain_tree(length, link, size):
+    """Keys 0..length-1 in order, every node linked through `link`; balances left at 0."""
+    keys = range(length) if link == "right" else range(length - 1, -1, -1)
+    tree = AvlTree()
+    tree.root = node = Node(keys[0])
+    for key in keys[1:]:
+        setattr(node, link, Node(key))
+        node = getattr(node, link)
+    tree.size = size
+    return tree
+
+
+def preorder(node):
+    """Every node in pre-order, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            yield node
+            stack += [node.right, node.left]
+
+
+def layout(root):
+    return [(n.key, n.balance, n.left is None, n.right is None) for n in preorder(root)]
+
+
+class TestCorruptedStructures:
+    """A cycle, a shared link and a deep chain get a defined result, never a RecursionError."""
+
+    @pytest.mark.parametrize("make, key", [(cycle_tree, 4), (shared_link_tree, 2)])
+    @pytest.mark.parametrize("size", [5, 20])  # 20 lets the shared-link walk end in budget
+    def test_node_reached_twice(self, make, key, size):
+        tree = make()
+        tree.size = size
+        assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", key)]
+        for walk in (tree.height, tree.clone, lambda: format_tree(tree)):
+            with pytest.raises(StructuralError, match=f"node {key} is reached twice"):
+                walk()
+
+    @pytest.mark.parametrize("link", ["left", "right"])
+    @pytest.mark.parametrize("size", [2000, 1500, 2500])
+    def test_2000_node_chain(self, link, size):
+        tree = chain_tree(2000, link, size)
+        expected = []
+        for below in range(2000):  # post-order: the deepest node first
+            key = 1999 - below if link == "right" else below
+            left_h, right_h = (0, below) if link == "right" else (below, 0)
+            if below > 1:
+                expected.append(("avl-height", key,
+                                 f"subtree heights {left_h} and {right_h} differ by more than one"))
+            if below:
+                expected.append(("balance-mismatch", key,
+                                 f"stored balance 0, recomputed {right_h - left_h}"))
+        if size != 2000:
+            expected.append(("size-mismatch", None, f"size says {size}, found 2000 reachable nodes"))
+        assert [(v.kind, v.key, v.detail) for v in tree.validate().violations] == expected
+        assert tree.height() == 2000
+        twin = tree.clone()
+        assert twin.size == size
+        assert layout(twin.root) == layout(tree.root)
+        assert not set(preorder(twin.root)) & set(preorder(tree.root))
+        assert len(format_tree(tree).splitlines()) == 2000
+
+
+class TestFormatTree:
+    def test_pinned_text_before_and_after_a_delete(self):
+        tree = AvlTree([4, 2, 5, 1, 3])
+        assert format_tree(tree) == (
+            "4 (-1)\n"
+            "|-- L: 2 (0)\n"
+            "|   |-- L: 1 (0)\n"
+            "|   `-- R: 3 (0)\n"
+            "`-- R: 5 (0)")
+        tree.delete(4)
+        assert format_tree(tree) == (
+            "3 (-1)\n"
+            "|-- L: 2 (-1)\n"
+            "|   `-- L: 1 (0)\n"
+            "`-- R: 5 (0)")
+
+    def test_empty(self):
+        assert format_tree(AvlTree()) == "(empty)"
 
 
 class TestHeightBound:

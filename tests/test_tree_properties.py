@@ -16,7 +16,16 @@ from avlkit import (
     RotationKind,
 )
 
-from reference import ReferenceAvl, assert_tree_sane, recomputed_layout, shape_signature
+from avlkit.tree import Node
+
+from reference import (
+    ReferenceAvl,
+    all_nodes,
+    assert_tree_sane,
+    recomputed_layout,
+    reference_violations,
+    shape_signature,
+)
 
 STRATEGIES = list(ReplacementStrategy)
 
@@ -305,3 +314,40 @@ def test_negated_keys_mirror_shape_and_rotations(keys, doomed, predecessor_first
         deleted, events = tree.delete(key, strategy)
         assert twin.delete(-key, twin_strategy) == (deleted, mirrored_events(events))
         assert layout(twin.root) == reflection(tree.root)
+
+
+corruptions_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["key", "balance", "cut", "graft"]),
+        st.integers(min_value=0, max_value=1000),  # picks the node
+        st.integers(min_value=-60, max_value=60),  # the new key, balance or chain start
+        st.booleans(),  # left link or right link
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(keys_strategy, corruptions_strategy, st.integers(min_value=-3, max_value=3))
+def test_validate_matches_the_frozen_reference(keys, corruptions, size_offset):
+    tree = AvlTree(keys)
+    for action, pick, number, on_left in corruptions:
+        nodes = list(all_nodes(tree.root))
+        if not nodes:
+            break
+        node = nodes[pick % len(nodes)]
+        link = "left" if on_left else "right"
+        if action == "key":
+            node.key = number
+        elif action == "balance":
+            node.balance = number % 7 - 3
+        elif action == "cut":
+            setattr(node, link, None)
+        else:
+            # a chain of fresh nodes, leaning the way of its link, replaces that subtree
+            for offset in range(number % 4 + 1):
+                setattr(node, link, Node(number + offset))
+                node = getattr(node, link)
+    tree.size = len(list(all_nodes(tree.root))) + size_offset
+    report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+    assert report == reference_violations(tree)

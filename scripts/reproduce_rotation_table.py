@@ -21,7 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from avlkit import ExperimentConfig, load_corpus, render_report, run_experiment  # noqa: E402
+from avlkit import (ExperimentConfig, StructuralError, load_corpus,  # noqa: E402
+                    render_report, run_experiment)
 
 
 def main() -> int:
@@ -33,14 +34,18 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args()
 
-    corpus = load_corpus(args.corpus)
-    config = ExperimentConfig(iterations=args.iterations, seed=args.seed,
-                              sample_size=args.sample_size)
-    size = args.sample_size or len(corpus.words)
-    print(f"running: {size} words x {args.iterations} iterations x 3 strategies "
-          f"(seed {args.seed})", file=sys.stderr)
-    started = time.perf_counter()
-    report = run_experiment(corpus, config)
+    try:
+        corpus = load_corpus(args.corpus)
+        config = ExperimentConfig(iterations=args.iterations, seed=args.seed,
+                                  sample_size=args.sample_size)
+        size = args.sample_size or len(corpus.words)
+        print(f"running: {size} words x {args.iterations} iterations x 3 strategies "
+              f"(seed {args.seed})", file=sys.stderr)
+        started = time.perf_counter()
+        report = run_experiment(corpus, config)
+    except (OSError, ValueError, StructuralError) as exc:  # as `avlkit bench` reports them
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     sys.stdout.write(render_report(report, "table"))

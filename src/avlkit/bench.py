@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("iterations must be positive")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        unknown = [strategy for strategy in self.strategies
+                   if not isinstance(strategy, ReplacementStrategy)]
+        if unknown:
+            raise ValueError(f"unknown strategy: {', '.join(map(repr, unknown))}")
         repeated = [strategy.value for strategy in dict.fromkeys(self.strategies)
                     if self.strategies.count(strategy) > 1]
         if repeated:

@@ -4,9 +4,9 @@ Every node stores a balance factor: the height of its right subtree minus
 the height of its left subtree, kept in {-1, 0, +1} between operations.
 No heights are stored. The single rotations (LL, RR) derive exact new
 balances from the old ones, and each double rotation (LR, RL) is two
-singles. Insert and delete share one rebalancing step, which reports each
-rotation back to the caller as a RotationEvent so that callers can count
-them.
+singles. Insert and delete share one rebalancing step: it rotates a node,
+hangs the new subtree root where the node hung, and reports the rotation
+back to the caller as a RotationEvent so that callers can count them.
 
 Deletion of a node with two children is parameterized by a replacement
 strategy: always take the in-order predecessor (rightmost of the left
@@ -18,11 +18,16 @@ from the node and spliced out; its key and value move into the node.
 
 Insert and delete are loops over the kept path of nodes from the root:
 every key comparison happens on the way down, before anything changes.
+Outside the rebalancing step, the only link a deletion writes is the one
+that splices out the removed node. A key that is not equal to itself
+(NaN) is never stored and never matched; a deletion strategy that is not
+a ReplacementStrategy member raises ValueError.
 
 validate(), height(), clone() and format_tree() use no recursion: they
 share one explicit-stack walk, bounded so that a node reached twice (a
 cycle or a shared subtree) ends it. validate() reports such a node as a
-"cycle" violation; the others raise StructuralError naming its key.
+"cycle" violation; the others raise StructuralError naming its key, and
+so do the in-order walks, which make that walk first.
 """
 
 from __future__ import annotations
@@ -175,6 +180,7 @@ def rotate_rl(node: Node) -> Node:
 # class costs more than the hot-path work around it.
 _RIGHTMOST_OF_LEFT = ReplacementStrategy.RIGHTMOST_OF_LEFT
 _LEFTMOST_OF_RIGHT = ReplacementStrategy.LEFTMOST_OF_RIGHT
+_OPTIMUM = ReplacementStrategy.OPTIMUM
 _LEFT = Direction.LEFT
 _RIGHT = Direction.RIGHT
 # One event per kind, in RotationKind order: LL, LR, RL, RR.
@@ -188,7 +194,8 @@ def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
 
     The balance-guided strategy takes the taller subtree: left when the
     node's balance is -1, right when it is +1. At balance 0 either subtree
-    would do; the left one is used so that runs are reproducible.
+    would do; the left one is used so that runs are reproducible. Any
+    value other than the three members raises ValueError.
     """
     if node.left is None or node.right is None:
         raise StructuralError("replacement selection requires a node with two children")
@@ -196,27 +203,47 @@ def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
         return _LEFT
     if strategy is _LEFTMOST_OF_RIGHT:
         return _RIGHT
-    return _RIGHT if node.balance > 0 else _LEFT
+    if strategy is _OPTIMUM:
+        return _RIGHT if node.balance > 0 else _LEFT
+    raise _unknown_strategy(strategy)
 
 
-def _rebalance(node, phase_events, events):
-    """Rotate a node at balance -2 or +2; returns the new subtree root.
+def _unknown_strategy(strategy):
+    return ValueError(f"unknown replacement strategy {strategy!r}: "
+                      f"expected a ReplacementStrategy member")
+
+
+def _unmatchable_key(key):
+    return ValueError(f"key {key!r} is not equal to itself, so it cannot be stored")
+
+
+def _rebalance(tree, path, i, phase_events, events):
+    """Rotate path[i], at balance -2 or +2, and hang the result where it hung.
 
     Single when the taller child leans the same way or not at all, double
     when it leans the other way. Rotations are called by their public
-    module names, so a wrapper installed there sees every one.
+    module names, so a wrapper installed there sees every one. The new
+    subtree root replaces path[i] under path[i - 1], or as the tree's root
+    when i is 0, and is returned.
     """
+    node = path[i]
     if node.balance < 0:
         if node.left.balance > 0:
-            index, node = 1, rotate_lr(node)
+            index, subtree = 1, rotate_lr(node)
         else:
-            index, node = 0, rotate_ll(node)
+            index, subtree = 0, rotate_ll(node)
     elif node.right.balance < 0:
-        index, node = 2, rotate_rl(node)
+        index, subtree = 2, rotate_rl(node)
     else:
-        index, node = 3, rotate_rr(node)
+        index, subtree = 3, rotate_rr(node)
     events.append(phase_events[index])
-    return node
+    if i == 0:
+        tree.root = subtree
+    elif path[i - 1].left is node:
+        path[i - 1].left = subtree
+    else:
+        path[i - 1].right = subtree
+    return subtree
 
 
 def _insert(tree, key, value, overwrite, events):
@@ -239,10 +266,14 @@ def _insert(tree, key, value, overwrite, events):
             candidate = node
             node = node.right
     if candidate is not None and not candidate.key < key:
+        if key != key:  # NaN: no key is below or above it, so it seems to match
+            raise _unmatchable_key(key)
         old = candidate.value
         if overwrite:
             candidate.value = value
         return old
+    if not path and key != key:
+        raise _unmatchable_key(key)
     tree.size += 1
     node = Node(key, value)
     if not path:
@@ -261,13 +292,7 @@ def _insert(tree, key, value, overwrite, events):
             node = parent
             continue
         if balance:
-            subtree = _rebalance(parent, _INSERT_EVENTS, events)
-            if i == 0:
-                tree.root = subtree
-            elif path[i - 1].left is parent:
-                path[i - 1].left = subtree
-            else:
-                path[i - 1].right = subtree
+            _rebalance(tree, path, i, _INSERT_EVENTS, events)
         break
     return _ABSENT
 
@@ -281,6 +306,9 @@ def _delete(tree, key, strategy, events, trace):
     the path and stops once a subtree's height is unchanged. Every
     comparison precedes every mutation.
     """
+    if (strategy is not _OPTIMUM and strategy is not _RIGHTMOST_OF_LEFT
+            and strategy is not _LEFTMOST_OF_RIGHT):
+        raise _unknown_strategy(strategy)
     node = tree.root
     path = []
     while node is not None:
@@ -290,6 +318,8 @@ def _delete(tree, key, strategy, events, trace):
         elif key > node.key:
             path.append(node)
             node = node.right
+        elif key != key:  # NaN: no key is below or above it, yet it equals none
+            return _ABSENT
         else:
             break
     else:
@@ -332,21 +362,14 @@ def _delete(tree, key, strategy, events, trace):
         node = path[i]
         balance = node.balance + step
         node.balance = balance
-        if balance == step:
+        if balance == step:  # was 0: the height is unchanged
             break
-        subtree = node if balance == 0 else _rebalance(node, _DELETE_EVENTS, events)
-        if i == 0:
-            tree.root = subtree
-            break
-        parent = path[i - 1]
-        if parent.left is node:
-            parent.left = subtree
-            step = 1
-        else:
-            parent.right = subtree
-            step = -1
-        if subtree.balance:
-            break
+        if balance:
+            node = _rebalance(tree, path, i, _DELETE_EVENTS, events)
+            if node.balance:  # the rotation kept the height
+                break
+        if i:
+            step = 1 if path[i - 1].left is node else -1
     return value
 
 
@@ -423,7 +446,8 @@ class AvlTree:
         """Insert a key. Returns (inserted, rotations).
 
         A duplicate key is rejected: the tree is unchanged, no rotations.
-        An insertion performs at most one rotation (single or double).
+        An insertion performs at most one rotation (single or double). A key
+        that is not equal to itself, such as NaN, raises ValueError.
         """
         events: list[RotationEvent] = []
         return _insert(self, key, None, False, events) is _ABSENT, events
@@ -432,6 +456,7 @@ class AvlTree:
         """Insert or overwrite a key's value. Returns (previous value, rotations).
 
         Overwriting an existing key changes no structure and emits no events.
+        A key that is not equal to itself raises ValueError, as in insert.
         """
         events: list[RotationEvent] = []
         old = _insert(self, key, value, True, events)
@@ -441,9 +466,11 @@ class AvlTree:
                trace: Optional[DeletionTrace] = None) -> tuple[bool, list[RotationEvent]]:
         """Delete a key. Returns (deleted, rotations).
 
-        An absent key returns (False, []) and is not an error. Retracing
-        runs from the removal point toward the root, so one deletion can
-        emit several rotation events.
+        An absent key returns (False, []) and is not an error; so does a
+        key that is not equal to itself. A strategy that is not a
+        ReplacementStrategy member raises ValueError before any comparison.
+        Retracing runs from the removal point toward the root, so one
+        deletion can emit several rotation events.
         """
         events: list[RotationEvent] = []
         return _delete(self, key, strategy, events, trace) is not _ABSENT, events
@@ -469,7 +496,9 @@ class AvlTree:
 
         Uses at most height + 1 key comparisons: descends with a single
         less-than per level, remembering the last node passed on the right,
-        and settles equality once at the bottom.
+        and settles equality once at the bottom. A float NaN never matches:
+        only a float key is tested against itself, so that keys of other
+        types keep the bound.
         """
         node = self.root
         candidate = None
@@ -479,9 +508,9 @@ class AvlTree:
             else:
                 candidate = node
                 node = node.right
-        if candidate is not None and not candidate.key < key:
-            return candidate.value
-        return default
+        if candidate is None or candidate.key < key or (isinstance(key, float) and key != key):
+            return default
+        return candidate.value
 
     def in_order(self) -> list:
         """All keys in ascending order."""
@@ -492,6 +521,7 @@ class AvlTree:
         return [(node.key, node.value) for node in self._nodes_in_order()]
 
     def _nodes_in_order(self) -> Iterator[Node]:
+        _nodes_once(self)  # raises on a node reached twice, before any yield
         stack: list[Node] = []
         node = self.root
         while stack or node is not None:

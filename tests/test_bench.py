@@ -90,6 +90,11 @@ class TestExperimentConfig:
             ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM,
                                          ReplacementStrategy.OPTIMUM))
 
+    @pytest.mark.parametrize("strategy", ["optimum", None, "OPTIMUM"])
+    def test_rejects_a_strategy_that_is_not_a_member(self, strategy):
+        with pytest.raises(ValueError, match=f"unknown strategy: {strategy!r}"):
+            ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM, strategy))
+
     def test_sample_size_above_corpus_rejected(self, small_corpus):
         with pytest.raises(ValueError):
             run_experiment(small_corpus, small_config(sample_size=999))

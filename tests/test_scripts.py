@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import test_acceptance
 import test_bench
 
@@ -28,6 +30,25 @@ def test_reproduce_script_writes_the_pinned_report(tmp_path):
         outputs[fmt] = (tmp_path / f"rotations_sample_words_10k_s11_i3.{fmt}").read_bytes()
     for fmt, data in outputs.items():
         assert hashlib.md5(data).hexdigest() == test_bench.TestPinnedReport.MD5[fmt], fmt
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("--corpus", "missing.txt"), "No such file"),
+    (("--corpus", SAMPLE_CORPUS, "--iterations", 0), "iterations must be positive"),
+    (("--corpus", SAMPLE_CORPUS, "--sample-size", 10001),
+     "sample_size 10001 exceeds corpus size 10000"),
+])
+def test_reproduce_script_reports_bad_input(tmp_path, bad, message):
+    out_dir = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_rotation_table.py"), *map(str, bad),
+         "--out-dir", str(out_dir)],
+        capture_output=True, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == b""
+    last_line = result.stderr.decode().splitlines()[-1]
+    assert last_line.startswith("error: ") and message in last_line
+    assert not out_dir.exists()
 
 
 def test_corpus_script_regenerates_the_bundled_corpus(tmp_path):

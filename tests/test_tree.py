@@ -1,6 +1,7 @@
 """AvlTree: insert, strategy-parameterized delete, search, validation."""
 
 import math
+import re
 
 import pytest
 
@@ -253,6 +254,44 @@ class TestSelectReplacement:
         with pytest.raises(StructuralError):
             select_replacement(node, OPTIMUM)
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, Direction.LEFT])
+    def test_unknown_strategy_raises(self, strategy):
+        node = Node(2)
+        node.left = Node(1)
+        node.right = Node(3)
+        message = re.escape(f"unknown replacement strategy {strategy!r}")
+        with pytest.raises(ValueError, match=message):
+            select_replacement(node, strategy)
+
+
+class TestUnknownStrategy:
+    """A strategy that is not a ReplacementStrategy member is refused before the descent."""
+
+    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, 1])
+    @pytest.mark.parametrize("key", [4, 1, 99])  # two children, a leaf, absent
+    def test_delete_and_pop_leave_the_tree_unchanged(self, strategy, key):
+        tree = AvlTree([4, 2, 6, 1, 3, 5, 7])
+        before = layout(tree.root)
+        message = re.escape(f"unknown replacement strategy {strategy!r}")
+        for delete in (tree.delete, tree.pop):
+            with pytest.raises(ValueError, match=message):
+                delete(key, strategy)
+        assert layout(tree.root) == before
+        assert tree.size == 7
+
+    def test_before_any_comparison(self):
+        tree = AvlTree([CountingKey(n) for n in range(8)])
+        CountingKey.comparisons = 0
+        with pytest.raises(ValueError):
+            tree.delete(CountingKey(3), "optimum")
+        assert CountingKey.comparisons == 0
+
+    def test_map_delete(self):
+        mapping = AvlMap([(1, "a")])
+        with pytest.raises(ValueError, match="'x'"):
+            mapping.delete(1, "x")
+        assert mapping.items() == [(1, "a")]
+
 
 class CountingKey:
     """Totally ordered key that counts comparison operations."""
@@ -319,6 +358,48 @@ class LessThanOnly:
 
     def __lt__(self, other):
         return self.n < other.n
+
+
+class TestSelfUnequalKeys:
+    """A key that is not equal to itself (NaN) is never stored and never matched."""
+
+    NAN = float("nan")
+
+    def test_insert_and_put_raise_and_leave_the_tree_unchanged(self):
+        for keys in ([], [1.0], [1.0, 2.0, 3.0], [float(n) for n in range(20)]):
+            tree = AvlTree(keys)
+            before = layout(tree.root)
+            for mutate in (tree.insert, lambda key: tree.put(key, "v")):
+                with pytest.raises(ValueError, match="key nan is not equal to itself"):
+                    mutate(self.NAN)
+                assert layout(tree.root) == before
+                assert tree.size == len(keys)
+        tree = AvlTree()
+        with pytest.raises(ValueError):
+            tree.insert(self.NAN)
+        assert tree.insert(1.0) == (True, [])
+        assert tree.in_order() == [1.0]
+
+    def test_lookups_and_deletes_find_nothing(self):
+        tree = AvlTree([1.0, 2.0, 3.0])
+        tree.put(2.0, "two")
+        assert self.NAN not in tree
+        assert tree.search(self.NAN) is False
+        assert tree.get(self.NAN, "none") == "none"
+        for strategy in ReplacementStrategy:
+            assert tree.delete(self.NAN, strategy) == (False, [])
+            assert tree.pop(self.NAN, strategy) == (False, None, [])
+        assert tree.items_in_order() == [(1.0, None), (2.0, "two"), (3.0, None)]
+        assert tree.validate().ok
+
+    def test_map(self):
+        mapping = AvlMap([(1.0, "a"), (2.0, "b")])
+        with pytest.raises(ValueError, match="nan"):
+            mapping.insert(self.NAN, "c")
+        assert mapping.get(self.NAN) is None
+        assert self.NAN not in mapping
+        assert mapping.delete(self.NAN) is None
+        assert mapping.items() == [(1.0, "a"), (2.0, "b")]
 
 
 class TestLessThanOnlyKeys:
@@ -458,7 +539,8 @@ class TestCorruptedStructures:
         tree = make()
         tree.size = size
         assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", key)]
-        for walk in (tree.height, tree.clone, lambda: format_tree(tree)):
+        for walk in (tree.height, tree.clone, lambda: format_tree(tree),
+                     tree.in_order, tree.items_in_order, lambda: list(tree)):
             with pytest.raises(StructuralError, match=f"node {key} is reached twice"):
                 walk()
 
@@ -485,6 +567,7 @@ class TestCorruptedStructures:
         assert layout(twin.root) == layout(tree.root)
         assert not set(preorder(twin.root)) & set(preorder(tree.root))
         assert len(format_tree(tree).splitlines()) == 2000
+        assert tree.in_order() == list(range(2000))
 
 
 class TestFormatTree:

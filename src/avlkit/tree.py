@@ -23,11 +23,15 @@ that splices out the removed node. A key that is not equal to itself
 (NaN) is never stored and never matched; a deletion strategy that is not
 a ReplacementStrategy member raises ValueError.
 
-validate(), height(), clone() and format_tree() use no recursion: they
-share one explicit-stack walk, bounded so that a node reached twice (a
-cycle or a shared subtree) ends it. validate() reports such a node as a
-"cycle" violation; the others raise StructuralError naming its key, and
-so do the in-order walks, which make that walk first.
+No walk uses recursion. height(), clone() and format_tree() share one
+explicit-stack walk, bounded so that a node reached twice (a cycle or a
+shared subtree) ends it, and raise StructuralError naming that node; so
+do the in-order walks, which are bounded by size the same way.
+validate() makes two passes. A yes/no pre-order walk accepts a sound
+tree with an empty report. Only a tree it rejects gets the exact walk:
+the shared walk, which then always looks for a repeat and reports one as
+a single "cycle" violation, and a fold of its nodes that writes every
+other violation.
 """
 
 from __future__ import annotations
@@ -187,6 +191,8 @@ _RIGHT = Direction.RIGHT
 _INSERT_EVENTS = tuple(RotationEvent(kind, Phase.INSERT) for kind in RotationKind)
 _DELETE_EVENTS = tuple(RotationEvent(kind, Phase.DELETE) for kind in RotationKind)
 _ABSENT = object()
+# How far below a node of each valid balance its left and right subtrees are.
+_HEIGHT_DROPS = {0: (1, 1), 1: (2, 1), -1: (1, 2)}
 
 
 def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
@@ -373,15 +379,16 @@ def _delete(tree, key, strategy, events, trace):
     return value
 
 
-def _post_order(root, size):
+def _post_order(root, size, always_check=False):
     """Reachable nodes, children before parents and left before right.
 
     Returns (nodes, None), or (None, node) for the first node reached
     twice. A pre-order that takes the right child first, reversed; only
     left children are stacked. It is not capped at size, which a grafted
     subtree may exceed: past size nodes, each time that count doubles, and
-    at the end unless it reached exactly size nodes, it looks for a repeat.
-    A cycle stops after O(n) steps; a correct tree never pays for the check.
+    at the end unless it reached exactly size nodes (or always_check is
+    set), it looks for a repeat. A cycle stops after O(n) steps; a correct
+    tree never pays for the check unless asked.
     """
     nodes, stack = [], []
     append, push, pop = nodes.append, stack.append, stack.pop
@@ -397,7 +404,7 @@ def _post_order(root, size):
                 if not stack:
                     break
                 node = pop()
-        if len(nodes) != size:
+        if always_check or len(nodes) != size:
             seen = set()
             for reached in nodes:
                 if reached in seen:
@@ -406,6 +413,67 @@ def _post_order(root, size):
         budget = len(nodes) + 1
     nodes.reverse()
     return nodes, None
+
+
+def _sound(root, size):
+    """Whether validate() would find nothing wrong, from one pre-order walk.
+
+    Each node carries the exclusive key bounds its ancestors set and the
+    height its parent expects of it; the root's expected height is the
+    length of the descent along the taller side, by balance. A balance
+    other than -1, 0 or +1 (a KeyError in _HEIGHT_DROPS), a missing child
+    expected at a height other than 0, a key out of its bounds, or a node
+    count other than size rejects, and so does any other exception. Only
+    right children are stacked, and the walk stops once it passes size
+    nodes, so a cycle cannot hang it. No node list is kept.
+
+    Why acceptance means the exact walk would report nothing:
+    - Order. A node is compared with its lower bound only when it has no
+      left child, and with its upper bound only when it has no right
+      child. Those bounds are its in-order neighbours, so each
+      in-order-adjacent pair is compared once. On a sound tree these are
+      exactly the exact walk's comparisons, with the same operands in the
+      same order, so none of its order checks can fail, for any keys.
+    - Heights. Under each node the expected heights of the children are
+      within one of each other, and a missing child must be expected at
+      0. So, from the leaves up, every subtree has the height its parent
+      expected, and every stored balance equals the recomputed difference.
+    - Repeats. A cycle never ends within size nodes. Under a strict total
+      order a node reached twice repeats a key in the in-order sequence,
+      which the order checks reject; so no node is reached twice.
+    """
+    try:
+        height, node = 0, root
+        for _ in range(size):
+            if node is None:
+                break
+            height += 1
+            node = node.right if node.balance > 0 else node.left
+        if node is not None:
+            return False
+        stack, node, lo, hi = [], root, None, None
+        push, pop = stack.append, stack.pop
+        for reached in range(1, size + 1):
+            left_drop, right_drop = _HEIGHT_DROPS[node.balance]
+            key, right = node.key, node.right
+            if right is None:
+                if height != right_drop or (hi is not None and not key < hi):
+                    return False
+            else:
+                push((right, height - right_drop, key, hi))
+            node = node.left
+            if node is None:
+                if height != left_drop or (lo is not None and not lo < key):
+                    return False
+                if not stack:
+                    return reached == size
+                node, height, lo, hi = pop()
+            else:
+                height -= left_drop
+                hi = key
+        return size == 0  # size nodes passed with more to come, or no root
+    except Exception:
+        return False
 
 
 def _nodes_once(tree):
@@ -520,17 +588,31 @@ class AvlTree:
         """All (key, value) pairs in ascending key order."""
         return [(node.key, node.value) for node in self._nodes_in_order()]
 
-    def _nodes_in_order(self) -> Iterator[Node]:
-        _nodes_once(self)  # raises on a node reached twice, before any yield
-        stack: list[Node] = []
+    def _nodes_in_order(self) -> list[Node]:
+        """Every node in key order, from one walk bounded by size.
+
+        Only when the walk passes size nodes, or ends short of it, does it
+        call _nodes_once, which raises StructuralError on a node reached
+        twice, before any node is returned. When that finds none, its count
+        of reachable nodes bounds the rest of this walk.
+        """
+        nodes, stack = [], []
+        append, push, pop = nodes.append, stack.append, stack.pop
         node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
+        budget = self.size + 1
+        while node is not None:
+            for _ in range(budget):
+                push(node)
                 node = node.left
-            node = stack.pop()
-            yield node
-            node = node.right
+                while node is None and stack:
+                    node = pop()
+                    append(node)
+                    node = node.right
+                if node is None:
+                    break
+            if len(nodes) + len(stack) != self.size:
+                budget = len(_nodes_once(self))
+        return nodes
 
     def height(self) -> int:
         """Actual tree height, recomputed by traversal (O(n); for checks and demos)."""
@@ -567,12 +649,18 @@ class AvlTree:
 
         Reports violations of: strict BST ordering, the height-difference
         bound, stored balance versus recomputed height difference, and the
-        size count. A node reached twice by following links is reported
-        alone, as one "cycle" violation. The walk uses no recursion.
+        size count. A yes/no pass accepts a sound tree in one top-down walk
+        and returns an empty report. Any other tree gets the exact walk,
+        which alone writes violations: a node reached twice by following
+        links is reported alone, as one "cycle" violation; otherwise every
+        violation is listed, children before parents. Neither uses
+        recursion.
         """
+        if _sound(self.root, self.size):
+            return ValidationReport()
         report = ValidationReport()
         violations = report.violations
-        nodes, repeat = _post_order(self.root, self.size)
+        nodes, repeat = _post_order(self.root, self.size, always_check=True)
         if repeat is not None:
             violations.append(Violation(
                 "cycle", repeat.key,

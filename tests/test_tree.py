@@ -1,5 +1,6 @@
 """AvlTree: insert, strategy-parameterized delete, search, validation."""
 
+import itertools
 import math
 import re
 
@@ -17,9 +18,17 @@ from avlkit import (
     format_tree,
 )
 from avlkit.rng import SplitMix64
+import avlkit.tree as tree_mod
 from avlkit.tree import Node, select_replacement
 
-from reference import assert_tree_sane, balance_errors, inorder_keys
+from reference import (
+    all_nodes,
+    assert_tree_sane,
+    balance_errors,
+    inorder_keys,
+    reference_violations,
+    shape_signature,
+)
 
 RIGHTMOST = ReplacementStrategy.RIGHTMOST_OF_LEFT
 LEFTMOST = ReplacementStrategy.LEFTMOST_OF_RIGHT
@@ -504,6 +513,12 @@ def shared_link_tree():
     return tree
 
 
+def self_loop_tree():
+    tree = AvlTree([4, 2, 5, 1, 3])
+    tree.root.left.left.left = tree.root.left.left
+    return tree
+
+
 def chain_tree(length, link, size):
     """Keys 0..length-1 in order, every node linked through `link`; balances left at 0."""
     keys = range(length) if link == "right" else range(length - 1, -1, -1)
@@ -533,7 +548,8 @@ def layout(root):
 class TestCorruptedStructures:
     """A cycle, a shared link and a deep chain get a defined result, never a RecursionError."""
 
-    @pytest.mark.parametrize("make, key", [(cycle_tree, 4), (shared_link_tree, 2)])
+    @pytest.mark.parametrize("make, key",
+                             [(cycle_tree, 4), (shared_link_tree, 2), (self_loop_tree, 1)])
     @pytest.mark.parametrize("size", [5, 20])  # 20 lets the shared-link walk end in budget
     def test_node_reached_twice(self, make, key, size):
         tree = make()
@@ -543,6 +559,12 @@ class TestCorruptedStructures:
                      tree.in_order, tree.items_in_order, lambda: list(tree)):
             with pytest.raises(StructuralError, match=f"node {key} is reached twice"):
                 walk()
+
+    def test_shared_link_whose_repeats_count_to_size(self):
+        # 4, 5, then 2, 1 and 3 twice: eight nodes reached, as size says
+        tree = shared_link_tree()
+        tree.size = 8
+        assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", 2)]
 
     @pytest.mark.parametrize("link", ["left", "right"])
     @pytest.mark.parametrize("size", [2000, 1500, 2500])
@@ -568,6 +590,127 @@ class TestCorruptedStructures:
         assert not set(preorder(twin.root)) & set(preorder(tree.root))
         assert len(format_tree(tree).splitlines()) == 2000
         assert tree.in_order() == list(range(2000))
+
+
+def random_trees(seed, steps):
+    """A tree after each step of a random insert/delete run over all strategies."""
+    rng = SplitMix64(seed)
+    strategies = list(ReplacementStrategy)
+    tree = AvlTree()
+    for _ in range(steps):
+        key = rng.below(300)
+        if rng.below(3):
+            tree.insert(key)
+        else:
+            tree.delete(key, strategies[rng.below(3)])
+        yield tree
+
+
+def swept_trees():
+    """Every tree reachable from keys 1..7, before and after each deletion."""
+    shapes = {}
+    for size in range(1, 8):
+        for perm in itertools.permutations(range(1, size + 1)):
+            tree = AvlTree(perm)
+            shapes.setdefault(shape_signature(tree.root), tree)
+    for tree in shapes.values():
+        yield tree
+        for key in tree.in_order():
+            for strategy in ReplacementStrategy:
+                copy = tree.clone()
+                copy.delete(key, strategy)
+                yield copy
+
+
+def forbid_exact_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact walk ran on a sound tree")
+    monkeypatch.setattr(tree_mod, "_post_order", forbidden)
+
+
+class TestValidateFastPath:
+    """The yes/no pass alone must accept every sound tree."""
+
+    def test_random_insert_delete_runs(self, monkeypatch):
+        forbid_exact_walk(monkeypatch)
+        checked = 0
+        for seed in (1, 2, 3):
+            for tree in random_trees(seed, 1500):
+                assert tree.validate().ok
+                checked += 1
+        assert checked == 4500
+
+    def test_exhaustive_sweep_of_keys_1_to_7(self, monkeypatch):
+        trees = list(swept_trees())  # clone() uses the exact walk, so it runs first
+        forbid_exact_walk(monkeypatch)
+        for tree in trees:
+            assert tree.validate().ok
+        assert len(trees) == 626  # 35 shapes, then 197 keys x 3 strategies
+
+
+class FailingKey:
+    """Int-like key whose comparisons raise once a shared allowance runs out."""
+
+    allowance = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __lt__(self, other):
+        if FailingKey.allowance <= 0:
+            raise RuntimeError("comparison refused")
+        FailingKey.allowance -= 1
+        return self.n < other.n
+
+    def __repr__(self):
+        return f"FailingKey({self.n})"
+
+
+def outcome(check):
+    try:
+        return check()
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+class TestValidateEdgeInputs:
+    """Inputs at the edge of the two passes get the result of the exact walk alone."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_comparisons_that_raise_after_n_calls(self, corrupt, monkeypatch):
+        FailingKey.allowance = 100
+        tree = AvlTree([FailingKey(n) for n in (5, 2, 8, 1, 3, 7, 9, 4, 6)])
+        if corrupt:
+            tree.root.balance = 1  # its subtrees are of equal height
+
+        def report():
+            return [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+
+        for allowance in range(12):
+            with monkeypatch.context() as exact_only:
+                exact_only.setattr(tree_mod, "_sound", lambda root, size: False)
+                FailingKey.allowance = allowance
+                expected = outcome(report)
+            FailingKey.allowance = allowance
+            got = outcome(report)
+            # on a sound tree the pass makes the exact walk's 8 comparisons;
+            # on a rejected one its own come first, so only a raise must match
+            if expected is RuntimeError or not corrupt:
+                assert got == expected, allowance
+            assert (expected is RuntimeError) == (allowance < 8)
+            if allowance >= 8:
+                assert bool(expected) == corrupt
+
+    @pytest.mark.parametrize("stored", [True, 1.0])
+    def test_balance_stored_as_another_type(self, stored):
+        tree = AvlTree(range(1, 13))
+        for node in all_nodes(tree.root):
+            if node.balance == 1:
+                node.balance = stored
+        assert tree.validate().ok
+        tree.root.balance = stored  # its subtrees are of equal height
+        report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+        assert report == reference_violations(tree) != []
 
 
 class TestFormatTree:

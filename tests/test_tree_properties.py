@@ -16,7 +16,7 @@ from avlkit import (
     RotationKind,
 )
 
-from avlkit.tree import Node
+from avlkit.tree import Node, _sound
 
 from reference import (
     ReferenceAvl,
@@ -318,7 +318,7 @@ def test_negated_keys_mirror_shape_and_rotations(keys, doomed, predecessor_first
 
 corruptions_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["key", "balance", "cut", "graft"]),
+        st.sampled_from(["key", "balance", "retype", "cut", "graft"]),
         st.integers(min_value=0, max_value=1000),  # picks the node
         st.integers(min_value=-60, max_value=60),  # the new key, balance or chain start
         st.booleans(),  # left link or right link
@@ -341,6 +341,9 @@ def test_validate_matches_the_frozen_reference(keys, corruptions, size_offset):
             node.key = number
         elif action == "balance":
             node.balance = number % 7 - 3
+        elif action == "retype":
+            # an equal balance of another type: True for 1, or a float
+            node.balance = True if node.balance == 1 and number % 2 else float(node.balance)
         elif action == "cut":
             setattr(node, link, None)
         else:
@@ -351,3 +354,5 @@ def test_validate_matches_the_frozen_reference(keys, corruptions, size_offset):
     tree.size = len(list(all_nodes(tree.root))) + size_offset
     report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
     assert report == reference_violations(tree)
+    # the yes/no pass accepts exactly the trees with an empty report
+    assert _sound(tree.root, tree.size) == (report == [])

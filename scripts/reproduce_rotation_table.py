@@ -50,12 +50,16 @@ def main() -> int:
 
     sys.stdout.write(render_report(report, "table"))
     out_dir = args.out_dir or args.corpus.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"rotations_{args.corpus.stem}_s{args.seed}_i{args.iterations}"
-    for fmt in ("csv", "json"):
-        target = out_dir / f"{stem}.{fmt}"
-        target.write_text(render_report(report, fmt), encoding="utf-8")
-        print(f"wrote {target}", file=sys.stderr)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for fmt in ("csv", "json"):
+            target = out_dir / f"{stem}.{fmt}"
+            target.write_text(render_report(report, fmt), encoding="utf-8")
+            print(f"wrote {target}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

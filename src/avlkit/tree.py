@@ -24,14 +24,15 @@ that splices out the removed node. A key that is not equal to itself
 a ReplacementStrategy member raises ValueError.
 
 No walk uses recursion. height(), clone() and format_tree() share one
-explicit-stack walk, bounded so that a node reached twice (a cycle or a
-shared subtree) ends it, and raise StructuralError naming that node; so
-do the in-order walks, which are bounded by size the same way.
-validate() makes two passes. A yes/no pre-order walk accepts a sound
-tree with an empty report. Only a tree it rejects gets the exact walk:
-the shared walk, which then always looks for a repeat and reports one as
-a single "cycle" violation, and a fold of its nodes that writes every
-other violation.
+explicit-stack walk that puts every node it reaches into an identity set,
+so the first node reached twice (a cycle or a shared subtree) ends it,
+and they raise StructuralError naming that node. The in-order walks keep
+no set: they are bounded by size, and take the shared walk's verdict only
+when they pass size nodes or end short of it. validate() makes two
+passes. A yes/no pre-order walk accepts a sound tree with an empty
+report. Only a tree it rejects gets the exact walk: the shared walk,
+whose repeat is reported as a single "cycle" violation, and a fold of
+its nodes that writes every other violation.
 """
 
 from __future__ import annotations
@@ -379,38 +380,28 @@ def _delete(tree, key, strategy, events, trace):
     return value
 
 
-def _post_order(root, size, always_check=False):
+def _post_order(root):
     """Reachable nodes, children before parents and left before right.
 
     Returns (nodes, None), or (None, node) for the first node reached
     twice. A pre-order that takes the right child first, reversed; only
-    left children are stacked. It is not capped at size, which a grafted
-    subtree may exceed: past size nodes, each time that count doubles, and
-    at the end unless it reached exactly size nodes (or always_check is
-    set), it looks for a repeat. A cycle stops after O(n) steps; a correct
-    tree never pays for the check unless asked.
+    left children are stacked. Every node reached goes into an identity
+    set, so a cycle or a shared subtree ends the walk at its first repeat,
+    whatever size says.
     """
-    nodes, stack = [], []
-    append, push, pop = nodes.append, stack.append, stack.pop
+    nodes, stack, seen = [], [], set()
+    append, push, pop, add = nodes.append, stack.append, stack.pop, seen.add
     node = root
-    budget = size + 1
     while node is not None:
-        for _ in range(budget):
-            append(node)
-            if node.left is not None:
-                push(node.left)
-            node = node.right
-            if node is None:
-                if not stack:
-                    break
-                node = pop()
-        if always_check or len(nodes) != size:
-            seen = set()
-            for reached in nodes:
-                if reached in seen:
-                    return None, reached
-                seen.add(reached)
-        budget = len(nodes) + 1
+        if node in seen:
+            return None, node
+        add(node)
+        append(node)
+        if node.left is not None:
+            push(node.left)
+        node = node.right
+        if node is None and stack:
+            node = pop()
     nodes.reverse()
     return nodes, None
 
@@ -477,8 +468,8 @@ def _sound(root, size):
 
 
 def _nodes_once(tree):
-    """_post_order of a tree; StructuralError names a node reached twice."""
-    nodes, repeat = _post_order(tree.root, tree.size)
+    """_post_order of a tree; StructuralError names the first node reached twice."""
+    nodes, repeat = _post_order(tree.root)
     if repeat is not None:
         raise StructuralError(
             f"node {repeat.key!r} is reached twice: the links form a cycle or share a subtree")
@@ -651,16 +642,18 @@ class AvlTree:
         bound, stored balance versus recomputed height difference, and the
         size count. A yes/no pass accepts a sound tree in one top-down walk
         and returns an empty report. Any other tree gets the exact walk,
-        which alone writes violations: a node reached twice by following
-        links is reported alone, as one "cycle" violation; otherwise every
-        violation is listed, children before parents. Neither uses
-        recursion.
+        which alone writes violations: the first node reached twice by
+        following links is reported alone, as one "cycle" violation;
+        otherwise every violation is listed, children before parents. The
+        exact walk does not read size, so a size that differs from the
+        count of reachable nodes, even one that is not a count such as
+        None, is one "size-mismatch" violation. Neither uses recursion.
         """
         if _sound(self.root, self.size):
             return ValidationReport()
         report = ValidationReport()
         violations = report.violations
-        nodes, repeat = _post_order(self.root, self.size, always_check=True)
+        nodes, repeat = _post_order(self.root)
         if repeat is not None:
             violations.append(Violation(
                 "cycle", repeat.key,

@@ -246,13 +246,16 @@ def test_criterion_7_bench_determinism():
     """Two bench invocations with identical flags emit byte-identical csv
     and json."""
     started = time.perf_counter()
+    # pyproject's pytest pythonpath reaches only this process, not a child
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
     def invoke(fmt):
         result = subprocess.run(
             [sys.executable, "-m", "avlkit", "bench",
              "--corpus", str(SAMPLE_CORPUS), "--sample-size", "400",
              "--iterations", "3", "--seed", "11", "--format", fmt],
-            capture_output=True, cwd=REPO_ROOT)
+            capture_output=True, cwd=REPO_ROOT, env=env)
         assert result.returncode == 0, result.stderr.decode()
         return result.stdout
 

@@ -51,6 +51,20 @@ def test_reproduce_script_reports_bad_input(tmp_path, bad, message):
     assert not out_dir.exists()
 
 
+def test_reproduce_script_reports_an_unwritable_out_dir(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_rotation_table.py"),
+         "--corpus", str(SAMPLE_CORPUS), "--sample-size", "50", "--iterations", "1",
+         "--out-dir", str(blocker / "out")],
+        capture_output=True, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout  # the table is printed before the write fails
+    last_line = result.stderr.decode().splitlines()[-1]
+    assert last_line.startswith("error: ") and "Not a directory" in last_line
+
+
 def test_corpus_script_regenerates_the_bundled_corpus(tmp_path):
     out = tmp_path / "words.txt"
     run_script("make_sample_corpus.py", "--count", 10000, "--out", out)

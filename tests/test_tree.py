@@ -488,11 +488,13 @@ class TestValidate:
         report = tree.validate()
         assert any(v.kind == "avl-height" for v in report.violations)
 
-    def test_size_mismatch(self):
+    @pytest.mark.parametrize("size", [5, None, 2.5])
+    def test_size_mismatch(self, size):
         tree = AvlTree([1, 2])
-        tree.size = 5
+        tree.size = size
         report = tree.validate()
-        assert any(v.kind == "size-mismatch" for v in report.violations)
+        assert [(v.kind, v.key, v.detail) for v in report.violations] == [
+            ("size-mismatch", None, f"size says {size}, found 2 reachable nodes")]
 
     def test_validate_never_mutates(self):
         tree = AvlTree([2, 1, 3])
@@ -550,7 +552,7 @@ class TestCorruptedStructures:
 
     @pytest.mark.parametrize("make, key",
                              [(cycle_tree, 4), (shared_link_tree, 2), (self_loop_tree, 1)])
-    @pytest.mark.parametrize("size", [5, 20])  # 20 lets the shared-link walk end in budget
+    @pytest.mark.parametrize("size", [5, 20])  # below and above the shared link's 8 nodes reached
     def test_node_reached_twice(self, make, key, size):
         tree = make()
         tree.size = size
@@ -565,6 +567,9 @@ class TestCorruptedStructures:
         tree = shared_link_tree()
         tree.size = 8
         assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", 2)]
+        for walk in (tree.height, tree.clone, lambda: format_tree(tree)):
+            with pytest.raises(StructuralError, match="node 2 is reached twice"):
+                walk()
 
     @pytest.mark.parametrize("link", ["left", "right"])
     @pytest.mark.parametrize("size", [2000, 1500, 2500])

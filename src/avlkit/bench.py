@@ -98,6 +98,12 @@ class ExperimentConfig:
     sample_size: Optional[int] = None
 
     def __post_init__(self):
+        numbers = {"iterations": self.iterations, "seed": self.seed}
+        if self.sample_size is not None:
+            numbers["sample_size"] = self.sample_size
+        for name, value in numbers.items():
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not self.strategies:

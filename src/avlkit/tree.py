@@ -23,16 +23,16 @@ that splices out the removed node. A key that is not equal to itself
 (NaN) is never stored and never matched; a deletion strategy that is not
 a ReplacementStrategy member raises ValueError.
 
-No walk uses recursion. height(), clone() and format_tree() share one
-explicit-stack walk that puts every node it reaches into an identity set,
-so the first node reached twice (a cycle or a shared subtree) ends it,
-and they raise StructuralError naming that node. The in-order walks keep
-no set: they are bounded by size, and take the shared walk's verdict only
-when they pass size nodes or end short of it. validate() makes two
-passes. A yes/no pre-order walk accepts a sound tree with an empty
-report. Only a tree it rejects gets the exact walk: the shared walk,
-whose repeat is reported as a single "cycle" violation, and a fold of
-its nodes that writes every other violation.
+No walk uses recursion, and every walk that returns nodes puts each node
+it reaches into an identity set, so the first node reached twice (a cycle
+or a shared subtree) ends it. height(), clone() and format_tree() share
+one post-order walk, and in_order(), items_in_order() and iteration one
+in-order walk; both raise StructuralError naming the repeated node. Only
+_sound, validate()'s yes/no pass, is bounded by size instead of a set.
+validate() makes two passes. The yes/no pre-order walk accepts a sound
+tree with an empty report. Only a tree it rejects gets the exact walk:
+the post-order walk, whose repeat is reported as a single "cycle"
+violation, and a fold of its nodes that writes every other violation.
 """
 
 from __future__ import annotations
@@ -467,12 +467,16 @@ def _sound(root, size):
         return False
 
 
+def _reached_twice(node):
+    return StructuralError(
+        f"node {node.key!r} is reached twice: the links form a cycle or share a subtree")
+
+
 def _nodes_once(tree):
     """_post_order of a tree; StructuralError names the first node reached twice."""
     nodes, repeat = _post_order(tree.root)
     if repeat is not None:
-        raise StructuralError(
-            f"node {repeat.key!r} is reached twice: the links form a cycle or share a subtree")
+        raise _reached_twice(repeat)
     return nodes
 
 
@@ -580,29 +584,26 @@ class AvlTree:
         return [(node.key, node.value) for node in self._nodes_in_order()]
 
     def _nodes_in_order(self) -> list[Node]:
-        """Every node in key order, from one walk bounded by size.
+        """Every node in key order, from one explicit-stack walk.
 
-        Only when the walk passes size nodes, or ends short of it, does it
-        call _nodes_once, which raises StructuralError on a node reached
-        twice, before any node is returned. When that finds none, its count
-        of reachable nodes bounds the rest of this walk.
+        Like every walk that returns nodes, it puts each node it reaches
+        into an identity set, so the first node reached twice raises
+        StructuralError, before any node is returned. It does not read
+        size: only _sound, a yes/no pass, is bounded by size.
         """
-        nodes, stack = [], []
-        append, push, pop = nodes.append, stack.append, stack.pop
+        nodes, stack, seen = [], [], set()
+        append, push, pop, add = nodes.append, stack.append, stack.pop, seen.add
         node = self.root
-        budget = self.size + 1
         while node is not None:
-            for _ in range(budget):
-                push(node)
-                node = node.left
-                while node is None and stack:
-                    node = pop()
-                    append(node)
-                    node = node.right
-                if node is None:
-                    break
-            if len(nodes) + len(stack) != self.size:
-                budget = len(_nodes_once(self))
+            if node in seen:
+                raise _reached_twice(node)
+            add(node)
+            push(node)
+            node = node.left
+            while node is None and stack:
+                node = pop()
+                append(node)
+                node = node.right
         return nodes
 
     def height(self) -> int:

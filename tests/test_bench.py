@@ -90,6 +90,13 @@ class TestExperimentConfig:
             ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM,
                                          ReplacementStrategy.OPTIMUM))
 
+    @pytest.mark.parametrize("name, value", [
+        ("iterations", 2.5), ("iterations", None), ("seed", 1.5), ("seed", "x"),
+        ("seed", None), ("sample_size", 2.5), ("sample_size", "3")])
+    def test_rejects_a_number_that_is_not_an_int(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
+            ExperimentConfig(**{name: value})
+
     @pytest.mark.parametrize("strategy", ["optimum", None, "OPTIMUM"])
     def test_rejects_a_strategy_that_is_not_a_member(self, strategy):
         with pytest.raises(ValueError, match=f"unknown strategy: {strategy!r}"):

@@ -567,12 +567,13 @@ class TestCorruptedStructures:
         tree = shared_link_tree()
         tree.size = 8
         assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", 2)]
-        for walk in (tree.height, tree.clone, lambda: format_tree(tree)):
+        for walk in (tree.height, tree.clone, lambda: format_tree(tree),
+                     tree.in_order, tree.items_in_order, lambda: list(tree)):
             with pytest.raises(StructuralError, match="node 2 is reached twice"):
                 walk()
 
     @pytest.mark.parametrize("link", ["left", "right"])
-    @pytest.mark.parametrize("size", [2000, 1500, 2500])
+    @pytest.mark.parametrize("size", [2000, 1500, 2500, None, 2.5])
     def test_2000_node_chain(self, link, size):
         tree = chain_tree(2000, link, size)
         expected = []

@@ -102,7 +102,7 @@ class ExperimentConfig:
         if self.sample_size is not None:
             numbers["sample_size"] = self.sample_size
         for name, value in numbers.items():
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")

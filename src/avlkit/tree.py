@@ -24,21 +24,23 @@ that splices out the removed node. A key that is not equal to itself
 a ReplacementStrategy member raises ValueError.
 
 No walk uses recursion, and every walk that returns nodes puts each node
-it reaches into an identity set, so the first node reached twice (a cycle
-or a shared subtree) ends it. height(), clone() and format_tree() share
-one post-order walk, and in_order(), items_in_order() and iteration one
-in-order walk; both raise StructuralError naming the repeated node. Only
-_sound, validate()'s yes/no pass, is bounded by size instead of a set.
-validate() makes two passes. The yes/no pre-order walk accepts a sound
-tree with an empty report. Only a tree it rejects gets the exact walk:
-the post-order walk, whose repeat is reported as a single "cycle"
-violation, and a fold of its nodes that writes every other violation.
+it reaches into an identity set and raises StructuralError naming the
+first node reached twice (a cycle or a shared subtree): the post-order
+walk behind height(), clone() and validate(), the in-order walk behind
+in_order(), items_in_order() and iteration, and format_tree()'s drawing
+walk. Only _sound, validate()'s yes/no pass, is bounded by size instead
+of a set. validate() makes two passes. The yes/no pre-order walk accepts
+a sound tree with an empty report. Only a tree it rejects gets the exact
+walk: the post-order walk, whose error validate() alone turns into a
+report, as a single "cycle" violation, and a fold of its nodes that
+writes every other violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Any, Iterator, NamedTuple, Optional
 
 
@@ -272,20 +274,21 @@ def _insert(tree, key, value, overwrite, events):
         else:
             candidate = node
             node = node.right
-    if candidate is not None and not candidate.key < key:
-        if key != key:  # NaN: no key is below or above it, so it seems to match
+    if not path or candidate is not None and not candidate.key < key:
+        # NaN: no key is below or above it, so it seems to match, and an
+        # empty tree has no key to compare it with
+        if key != key:
             raise _unmatchable_key(key)
+        if not path:
+            tree.size += 1
+            tree.root = Node(key, value)
+            return _ABSENT
         old = candidate.value
         if overwrite:
             candidate.value = value
         return old
-    if not path and key != key:
-        raise _unmatchable_key(key)
     tree.size += 1
     node = Node(key, value)
-    if not path:
-        tree.root = node
-        return _ABSENT
     if path[-1] is candidate:
         candidate.right = node
     else:
@@ -380,21 +383,29 @@ def _delete(tree, key, strategy, events, trace):
     return value
 
 
+def _reached_twice(node):
+    """The StructuralError of a walk that reaches node twice; it keeps the node."""
+    error = StructuralError(
+        f"node {node.key!r} is reached twice: the links form a cycle or share a subtree")
+    error.node = node
+    return error
+
+
 def _post_order(root):
     """Reachable nodes, children before parents and left before right.
 
-    Returns (nodes, None), or (None, node) for the first node reached
-    twice. A pre-order that takes the right child first, reversed; only
-    left children are stacked. Every node reached goes into an identity
-    set, so a cycle or a shared subtree ends the walk at its first repeat,
-    whatever size says.
+    A pre-order that takes the right child first, reversed; only left
+    children are stacked. Like every walk that returns nodes, it puts each
+    node it reaches into an identity set and raises StructuralError at the
+    first node reached twice (a cycle or a shared subtree), whatever size
+    says; validate() turns that error into its one "cycle" violation.
     """
     nodes, stack, seen = [], [], set()
     append, push, pop, add = nodes.append, stack.append, stack.pop, seen.add
     node = root
     while node is not None:
         if node in seen:
-            return None, node
+            raise _reached_twice(node)
         add(node)
         append(node)
         if node.left is not None:
@@ -403,7 +414,7 @@ def _post_order(root):
         if node is None and stack:
             node = pop()
     nodes.reverse()
-    return nodes, None
+    return nodes
 
 
 def _sound(root, size):
@@ -465,19 +476,6 @@ def _sound(root, size):
         return size == 0  # size nodes passed with more to come, or no root
     except Exception:
         return False
-
-
-def _reached_twice(node):
-    return StructuralError(
-        f"node {node.key!r} is reached twice: the links form a cycle or share a subtree")
-
-
-def _nodes_once(tree):
-    """_post_order of a tree; StructuralError names the first node reached twice."""
-    nodes, repeat = _post_order(tree.root)
-    if repeat is not None:
-        raise _reached_twice(repeat)
-    return nodes
 
 
 class AvlTree:
@@ -559,9 +557,10 @@ class AvlTree:
 
         Uses at most height + 1 key comparisons: descends with a single
         less-than per level, remembering the last node passed on the right,
-        and settles equality once at the bottom. A float NaN never matches:
-        only a float key is tested against itself, so that keys of other
-        types keep the bound.
+        and settles equality once at the bottom. A NaN never matches: no key
+        is above it, so it settles on a node with no right child, and only
+        there is a numbers.Real key tested against itself, so that keys of
+        other types keep the bound.
         """
         node = self.root
         candidate = None
@@ -571,7 +570,8 @@ class AvlTree:
             else:
                 candidate = node
                 node = node.right
-        if candidate is None or candidate.key < key or (isinstance(key, float) and key != key):
+        if candidate is None or candidate.key < key or (
+                candidate.right is None and isinstance(key, Real) and key != key):
             return default
         return candidate.value
 
@@ -610,7 +610,7 @@ class AvlTree:
         """Actual tree height, recomputed by traversal (O(n); for checks and demos)."""
         heights = []
         push, pop = heights.append, heights.pop
-        for node in _nodes_once(self):
+        for node in _post_order(self.root):
             height = pop() if node.right is not None else 0
             if node.left is not None:
                 left = pop()
@@ -623,7 +623,7 @@ class AvlTree:
         """Structural deep copy (keys and values are shared, links are not)."""
         twins = []
         push, pop = twins.append, twins.pop
-        for node in _nodes_once(self):
+        for node in _post_order(self.root):
             twin = Node(node.key, node.value)
             twin.balance = node.balance
             if node.right is not None:
@@ -652,14 +652,14 @@ class AvlTree:
         """
         if _sound(self.root, self.size):
             return ValidationReport()
+        try:
+            nodes = _post_order(self.root)
+        except StructuralError as error:
+            return ValidationReport([Violation(
+                "cycle", error.node.key,
+                "node reached twice: the links form a cycle or share a subtree")])
         report = ValidationReport()
         violations = report.violations
-        nodes, repeat = _post_order(self.root)
-        if repeat is not None:
-            violations.append(Violation(
-                "cycle", repeat.key,
-                "node reached twice: the links form a cycle or share a subtree"))
-            return report
         # (height, lo, hi) of each finished subtree; lo and hi are the
         # node key widened by the left subtree's lo and the right's hi
         results = []
@@ -703,21 +703,25 @@ class AvlTree:
 
 
 def format_tree(tree: AvlTree) -> str:
-    """Indented text rendering of a tree with per-node balances."""
+    """Indented text rendering of a tree with per-node balances.
+
+    One pre-order walk draws and checks: the first node reached twice raises
+    StructuralError, before any text is returned.
+    """
     if tree.root is None:
         return "(empty)"
-    _nodes_once(tree)  # raises on a node reached twice, before any drawing
     lines: list[str] = []
-    stack = [(tree.root, "", "", "")]
+    seen = set()
+    stack = [(tree.root, "", "")]  # (node, its line's prefix, its children's indent)
     while stack:
-        node, prefix, child_prefix, tag = stack.pop()
-        lines.append(f"{prefix}{tag}{node.key} ({node.balance})")
-        children = [(node.left, "L: "), (node.right, "R: ")]
-        present = [(child, tag) for child, tag in children if child is not None]
-        for i in range(len(present) - 1, -1, -1):  # pushed last to first, drawn first to last
-            child, child_tag = present[i]
-            last = i == len(present) - 1
-            branch = "`-- " if last else "|-- "
-            extension = "    " if last else "|   "
-            stack.append((child, child_prefix + branch, child_prefix + extension, child_tag))
+        node, prefix, indent = stack.pop()
+        if node in seen:
+            raise _reached_twice(node)
+        seen.add(node)
+        lines.append(f"{prefix}{node.key} ({node.balance})")
+        if node.right is not None:  # pushed first, drawn last
+            stack.append((node.right, indent + "`-- R: ", indent + "    "))
+        if node.left is not None:
+            branch, extension = ("`-- ", "    ") if node.right is None else ("|-- ", "|   ")
+            stack.append((node.left, indent + branch + "L: ", indent + extension))
     return "\n".join(lines)

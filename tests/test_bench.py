@@ -92,7 +92,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("iterations", 2.5), ("iterations", None), ("seed", 1.5), ("seed", "x"),
-        ("seed", None), ("sample_size", 2.5), ("sample_size", "3")])
+        ("seed", None), ("sample_size", 2.5), ("sample_size", "3"),
+        ("iterations", True), ("seed", False), ("sample_size", True)])
     def test_rejects_a_number_that_is_not_an_int(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an int, got {value!r}"):
             ExperimentConfig(**{name: value})

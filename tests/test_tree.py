@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import numbers
 import re
 
 import pytest
@@ -369,6 +370,18 @@ class LessThanOnly:
         return self.n < other.n
 
 
+class RealNaN:
+    """A numbers.Real that is not a float and, like NaN, compares False with everything."""
+
+    def __lt__(self, other):
+        return False
+
+    __le__ = __gt__ = __ge__ = __eq__ = __lt__  # so != is True, even with itself
+
+
+numbers.Real.register(RealNaN)
+
+
 class TestSelfUnequalKeys:
     """A key that is not equal to itself (NaN) is never stored and never matched."""
 
@@ -400,6 +413,21 @@ class TestSelfUnequalKeys:
             assert tree.pop(self.NAN, strategy) == (False, None, [])
         assert tree.items_in_order() == [(1.0, None), (2.0, "two"), (3.0, None)]
         assert tree.validate().ok
+
+    @pytest.mark.parametrize("make_nan", [
+        RealNaN, lambda: pytest.importorskip("numpy").float32("nan")], ids=["registered", "numpy"])
+    def test_a_real_nan_that_is_not_a_float(self, make_nan):
+        nan = make_nan()
+        tree = AvlTree([1.0, 2.0, 3.0])
+        tree.put(3.0, "three")
+        assert tree.get(nan, "none") == "none"
+        assert nan not in tree
+        assert tree.search(nan) is False
+        assert AvlMap([(1.0, "a"), (3.0, "c")]).get(nan) is None
+        with pytest.raises(ValueError, match="is not equal to itself"):
+            tree.insert(nan)
+        assert tree.delete(nan) == (False, [])
+        assert tree.items_in_order() == [(1.0, None), (2.0, None), (3.0, "three")]
 
     def test_map(self):
         mapping = AvlMap([(1.0, "a"), (2.0, "b")])
@@ -737,6 +765,15 @@ class TestFormatTree:
 
     def test_empty(self):
         assert format_tree(AvlTree()) == "(empty)"
+
+    def test_one_walk_draws_and_checks(self, monkeypatch):
+        def second_walk(root):
+            raise AssertionError("format_tree walked the tree before drawing it")
+        monkeypatch.setattr(tree_mod, "_post_order", second_walk)
+        self.test_pinned_text_before_and_after_a_delete()
+        for make, key in ((cycle_tree, 4), (shared_link_tree, 2), (self_loop_tree, 1)):
+            with pytest.raises(StructuralError, match=f"node {key} is reached twice"):
+                format_tree(make())
 
 
 class TestHeightBound:

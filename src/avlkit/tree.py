@@ -13,15 +13,19 @@ strategy: always take the in-order predecessor (rightmost of the left
 subtree), always take the successor (leftmost of the right subtree), or
 pick the taller subtree as indicated by the balance factor. The last
 option usually leaves the node's balance within bounds and therefore
-skips a rotation at that node. The replacement node is reached by links
-from the node and spliced out; its key and value move into the node.
+skips a rotation at that node. The replacement node, the heir, is
+reached by links from the node and spliced out; its key and value move
+into the node.
 
 Insert and delete are loops over the kept path of nodes from the root:
 every key comparison happens on the way down, before anything changes.
-Outside the rebalancing step, the only link a deletion writes is the one
-that splices out the removed node. A key that is not equal to itself
-(NaN) is never stored and never matched; a deletion strategy that is not
-a ReplacementStrategy member raises ValueError.
+A deletion has two phases. The read phase, _locate, finds the node, its
+heir and the path, and writes nothing. The write phase moves the heir's
+key and value into the node, splices the heir out and retraces. _relink
+hangs a subtree where another hung, under its parent or as the root: it
+makes that splice, and it hangs every rotated subtree. A key that is not
+equal to itself (NaN) is never stored and never matched; a deletion
+strategy that is not a ReplacementStrategy member raises ValueError.
 
 No walk uses recursion, and every walk that returns nodes puts each node
 it reaches into an identity set and raises StructuralError naming the
@@ -222,8 +226,18 @@ def _unknown_strategy(strategy):
                       f"expected a ReplacementStrategy member")
 
 
-def _unmatchable_key(key):
-    return ValueError(f"key {key!r} is not equal to itself, so it cannot be stored")
+def _relink(tree, parent, old, new):
+    """Hang new where old hung: under parent, or as the root if parent is None.
+
+    A deletion's splice and _rebalance's reattach both go through it, so
+    neither writes that link itself.
+    """
+    if parent is None:
+        tree.root = new
+    elif parent.left is old:
+        parent.left = new
+    else:
+        parent.right = new
 
 
 def _rebalance(tree, path, i, phase_events, events):
@@ -231,9 +245,9 @@ def _rebalance(tree, path, i, phase_events, events):
 
     Single when the taller child leans the same way or not at all, double
     when it leans the other way. Rotations are called by their public
-    module names, so a wrapper installed there sees every one. The new
-    subtree root replaces path[i] under path[i - 1], or as the tree's root
-    when i is 0, and is returned.
+    module names, so a wrapper installed there sees every one. _relink
+    hangs the new subtree root under path[i - 1], or as the tree's root
+    when i is 0, and it is returned.
     """
     node = path[i]
     if node.balance < 0:
@@ -246,12 +260,7 @@ def _rebalance(tree, path, i, phase_events, events):
     else:
         index, subtree = 3, rotate_rr(node)
     events.append(phase_events[index])
-    if i == 0:
-        tree.root = subtree
-    elif path[i - 1].left is node:
-        path[i - 1].left = subtree
-    else:
-        path[i - 1].right = subtree
+    _relink(tree, path[i - 1] if i else None, node, subtree)
     return subtree
 
 
@@ -278,7 +287,7 @@ def _insert(tree, key, value, overwrite, events):
         # NaN: no key is below or above it, so it seems to match, and an
         # empty tree has no key to compare it with
         if key != key:
-            raise _unmatchable_key(key)
+            raise ValueError(f"key {key!r} is not equal to itself, so it cannot be stored")
         if not path:
             tree.size += 1
             tree.root = Node(key, value)
@@ -307,14 +316,16 @@ def _insert(tree, key, value, overwrite, events):
     return _ABSENT
 
 
-def _delete(tree, key, strategy, events, trace):
-    """Delete from tree; returns the removed value, or _ABSENT for a missing key.
+def _locate(tree, key, strategy):
+    """Read phase of a deletion: find the node and its heir; writes nothing.
 
-    The descent keeps the path. A two-child node takes the key and value of
-    its heir, the extreme node of the subtree select_replacement picks,
-    reached by links; the heir is spliced out instead. Retracing climbs
-    the path and stops once a subtree's height is unchanged. Every
-    comparison precedes every mutation.
+    Rejects a strategy that is not a ReplacementStrategy member before any
+    comparison. Every key comparison of the deletion happens in the
+    descent. A two-child node's heir is the extreme node of the subtree
+    select_replacement picks, reached by links; a node with fewer children
+    is its own heir, with direction None. Returns None for a missing key,
+    else (path, node, heir, direction), where path runs from the root to
+    the heir's parent.
     """
     if (strategy is not _OPTIMUM and strategy is not _RIGHTMOST_OF_LEFT
             and strategy is not _LEFTMOST_OF_RIGHT):
@@ -329,25 +340,42 @@ def _delete(tree, key, strategy, events, trace):
             path.append(node)
             node = node.right
         elif key != key:  # NaN: no key is below or above it, yet it equals none
-            return _ABSENT
+            return None
         else:
             break
     else:
+        return None
+    if node.left is None or node.right is None:
+        return path, node, node, None
+    direction = select_replacement(node, strategy)
+    path.append(node)
+    if direction is _LEFT:
+        heir = node.left
+        while heir.right is not None:
+            path.append(heir)
+            heir = heir.right
+    else:
+        heir = node.right
+        while heir.left is not None:
+            path.append(heir)
+            heir = heir.left
+    return path, node, heir, direction
+
+
+def _delete(tree, key, strategy, events, trace):
+    """Delete from tree; returns the removed value, or _ABSENT for a missing key.
+
+    _locate is the read phase. The write phase fills trace, if one is
+    given, from _locate's result, moves the heir's key and value into the
+    node, and splices the heir out with _relink. Retracing then climbs
+    the path and stops once a subtree's height is unchanged.
+    """
+    located = _locate(tree, key, strategy)
+    if located is None:
         return _ABSENT
+    path, node, heir, direction = located
     value = node.value
-    if node.left is not None and node.right is not None:
-        direction = select_replacement(node, strategy)
-        path.append(node)
-        if direction is _LEFT:
-            heir = node.left
-            while heir.right is not None:
-                path.append(heir)
-                heir = heir.right
-        else:
-            heir = node.right
-            while heir.left is not None:
-                path.append(heir)
-                heir = heir.left
+    if direction is not None:
         if trace is not None:
             trace.two_child = True
             trace.node_balance = node.balance
@@ -355,19 +383,10 @@ def _delete(tree, key, strategy, events, trace):
             trace.replacement_key = heir.key
         node.key = heir.key
         node.value = heir.value
-        node = heir
     tree.size -= 1
-    child = node.right if node.left is None else node.left
-    if not path:
-        tree.root = child
-        return value
-    parent = path[-1]
-    if parent.left is node:
-        parent.left = child
-        step = 1
-    else:
-        parent.right = child
-        step = -1
+    parent = path[-1] if path else None
+    step = 1 if parent is not None and parent.left is heir else -1
+    _relink(tree, parent, heir, heir.right if heir.left is None else heir.left)
     for i in range(len(path) - 1, -1, -1):
         node = path[i]
         balance = node.balance + step

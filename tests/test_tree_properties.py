@@ -80,22 +80,42 @@ def test_mixed_ops_keep_every_invariant(ops):
     assert_tree_sane(tree, "mixed ops")
 
 
-@given(ops_strategy)
-def test_optimum_direction_follows_balance(ops):
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete"]),
+                          st.integers(min_value=0, max_value=15),
+                          st.sampled_from(STRATEGIES)), max_size=200))
+def test_trace_reports_the_heir_the_strategy_takes(ops):
+    """Every DeletionTrace field, for all three strategies, against the tree
+    as it stood before the call: a two-child node's balance, the side the
+    strategy's rule picks, and the in-order neighbour on that side. Keys
+    come from a small range so that most deletions find their key."""
     tree = AvlTree()
-    for action, key, _ in ops:
-        if action == "delete":
-            trace = DeletionTrace()
-            tree.delete(key, ReplacementStrategy.OPTIMUM, trace)
-            if trace.two_child:
-                if trace.node_balance == -1:
-                    assert trace.direction is Direction.LEFT
-                elif trace.node_balance == 1:
-                    assert trace.direction is Direction.RIGHT
-                else:
-                    assert trace.direction is Direction.LEFT
-        else:
+    for action, key, strategy in ops:
+        if action == "insert":
             tree.insert(key)
+            continue
+        node = tree.root
+        while node is not None and node.key != key:
+            node = node.left if key < node.key else node.right
+        two_child = node is not None and node.left is not None and node.right is not None
+        balance = node.balance if node is not None else None
+        keys = tree.in_order()
+        trace = DeletionTrace()
+        tree.delete(key, strategy, trace)
+        if not two_child:
+            assert trace == DeletionTrace()
+            continue
+        assert trace.two_child is True
+        assert trace.node_balance == balance
+        if strategy is ReplacementStrategy.RIGHTMOST_OF_LEFT:
+            direction = Direction.LEFT
+        elif strategy is ReplacementStrategy.LEFTMOST_OF_RIGHT:
+            direction = Direction.RIGHT
+        else:  # OPTIMUM: the taller side, left at balance 0
+            direction = Direction.RIGHT if balance > 0 else Direction.LEFT
+        assert trace.direction is direction
+        position = keys.index(key)
+        neighbour = keys[position - 1] if direction is Direction.LEFT else keys[position + 1]
+        assert trace.replacement_key == neighbour
 
 
 @given(keys_strategy, st.sampled_from(STRATEGIES))

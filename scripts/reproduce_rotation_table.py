@@ -3,13 +3,20 @@
 
 Convenience driver around `avlkit bench`: one run, three artifacts
 (table to stdout, csv and json next to the corpus or into --out-dir).
+It loads and runs through `avlkit bench`'s own path
+(`avlkit.cli.run_bench`), so it reports a bad corpus or bad flags with
+the same `error: ...` line and exit status 1.
 
     python3 scripts/reproduce_rotation_table.py --corpus words.txt
     python3 scripts/reproduce_rotation_table.py --corpus data/sample_words_10k.txt \
         --iterations 100 --out-dir results/
 
-Pure Python: a full 235k-word, 100-iteration run takes on the order of
-ten minutes. Use --sample-size for a quick look.
+Files are named rotations_<corpus stem>_s<seed>_i<iterations>, with
+_n<sample size> added when --sample-size is given, so a subsample run
+never overwrites a full run's files.
+
+Pure Python: a full 235k-word, 100-iteration run takes about 25 minutes
+(README records one at 24.4 min). Use --sample-size for a quick look.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from avlkit import (ExperimentConfig, StructuralError, load_corpus,  # noqa: E402
-                    render_report, run_experiment)
+from avlkit import render_report  # noqa: E402
+from avlkit.cli import run_bench  # noqa: E402
 
 
 def main() -> int:
@@ -34,23 +41,22 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args()
 
-    try:
-        corpus = load_corpus(args.corpus)
-        config = ExperimentConfig(iterations=args.iterations, seed=args.seed,
-                                  sample_size=args.sample_size)
-        size = args.sample_size or len(corpus.words)
-        print(f"running: {size} words x {args.iterations} iterations x 3 strategies "
+    def announce(words):
+        print(f"running: {words} words x {args.iterations} iterations x 3 strategies "
               f"(seed {args.seed})", file=sys.stderr)
-        started = time.perf_counter()
-        report = run_experiment(corpus, config)
-    except (OSError, ValueError, StructuralError) as exc:  # as `avlkit bench` reports them
-        print(f"error: {exc}", file=sys.stderr)
+
+    started = time.perf_counter()
+    report = run_bench(args.corpus, args.iterations, args.seed, args.sample_size,
+                       announce=announce)
+    if report is None:
         return 1
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     sys.stdout.write(render_report(report, "table"))
     out_dir = args.out_dir or args.corpus.parent
     stem = f"rotations_{args.corpus.stem}_s{args.seed}_i{args.iterations}"
+    if args.sample_size is not None:
+        stem += f"_n{args.sample_size}"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for fmt in ("csv", "json"):

@@ -6,7 +6,8 @@ import argparse
 import sys
 from typing import Optional
 
-from .bench import ExperimentConfig, load_corpus, render_report, run_experiment
+from .bench import (BenchmarkReport, ExperimentConfig, load_corpus, render_report,
+                    run_experiment)
 from .map import AvlMap
 from .rng import SplitMix64, derive_seed
 from .tree import AvlTree, DeletionTrace, ReplacementStrategy, StructuralError, format_tree
@@ -52,22 +53,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_bench(args) -> int:
-    if args.strategy == "all":
+def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
+              announce=None) -> Optional[BenchmarkReport]:
+    """Load the corpus, run the experiment and return its report: `avlkit bench`'s path.
+
+    `strategy` is one of `avlkit bench --strategy`'s tokens. `announce`, if
+    given, is called with the number of words the run uses, just before the
+    run starts. A bad corpus, a bad config or a broken run prints
+    `error: ...` on stderr and returns None.
+    """
+    if strategy == "all":
         strategies = tuple(ReplacementStrategy)
     else:
-        strategies = (_STRATEGY_TOKENS[args.strategy],)
+        strategies = (_STRATEGY_TOKENS[strategy],)
     try:
-        corpus = load_corpus(args.corpus)
-        config = ExperimentConfig(
-            iterations=args.iterations,
-            seed=args.seed,
-            strategies=strategies,
-            sample_size=args.sample_size,
-        )
-        report = run_experiment(corpus, config)
+        corpus = load_corpus(corpus_path)
+        config = ExperimentConfig(iterations=iterations, seed=seed,
+                                  strategies=strategies, sample_size=sample_size)
+        if announce is not None:
+            announce(sample_size or len(corpus.words))
+        return run_experiment(corpus, config)
     except (OSError, ValueError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_bench(args) -> int:
+    report = run_bench(args.corpus, args.iterations, args.seed, args.sample_size,
+                       args.strategy)
+    if report is None:
         return 1
     sys.stdout.write(render_report(report, args.format))
     return 0
@@ -84,43 +98,33 @@ def cmd_check(args) -> int:
     strategies = list(ReplacementStrategy)
     counts = {"insert": 0, "delete": 0, "search": 0}
 
-    def divergence(index, key, expected, actual) -> int:
-        print(f"divergence at op {index}: key={key!r} expected={expected!r} "
-              f"actual={actual!r}", file=sys.stderr)
-        return 1
-
     for index in range(args.ops):
         roll = rng.below(100)
         key = rng.below(universe)
         if roll < 45:
             counts["insert"] += 1
             value = rng.below(1 << 30)
-            previous = tree_map.insert(key, value)
-            expected = model.get(key)
+            actual, expected = tree_map.insert(key, value), model.get(key)
             model[key] = value
-            if previous != expected:
-                return divergence(index, key, expected, previous)
         elif roll < 80:
             counts["delete"] += 1
             strategy = rng.choice(strategies)
-            removed = tree_map.delete(key, strategy)
-            expected = model.pop(key, None)
-            if removed != expected:
-                return divergence(index, key, expected, removed)
+            actual, expected = tree_map.delete(key, strategy), model.pop(key, None)
         else:
             counts["search"] += 1
-            found = key in tree_map
-            if found != (key in model):
-                return divergence(index, key, key in model, found)
-            continue  # searches do not mutate; skip revalidation
-        report = tree_map.validate()
-        if not report.ok:
-            first = report.violations[0]
-            print(f"invariant violation at op {index}: {first.kind} at key "
-                  f"{first.key!r}: {first.detail}", file=sys.stderr)
+            actual, expected = key in tree_map, key in model
+        if roll < 80 and actual == expected:  # a mutation: revalidate, then compare sizes
+            report = tree_map.validate()
+            if not report.ok:
+                first = report.violations[0]
+                print(f"invariant violation at op {index}: {first.kind} at key "
+                      f"{first.key!r}: {first.detail}", file=sys.stderr)
+                return 1
+            actual, expected = len(tree_map), len(model)
+        if actual != expected:
+            print(f"divergence at op {index}: key={key!r} expected={expected!r} "
+                  f"actual={actual!r}", file=sys.stderr)
             return 1
-        if len(tree_map) != len(model):
-            return divergence(index, key, len(model), len(tree_map))
 
     if tree_map.items() != sorted(model.items()):
         print("divergence: final contents do not match the reference model",
@@ -132,21 +136,15 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _parse_keys(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 def cmd_demo(args) -> int:
     try:
-        keys = _parse_keys(args.keys)
+        keys = [int(part) for part in args.keys.split(",") if part.strip()]
         target = None if args.delete is None else int(args.delete)
     except ValueError as exc:
         print(f"error: malformed key argument: {exc}", file=sys.stderr)
         return 1
     strategy = _STRATEGY_TOKENS[args.strategy]
-    tree = AvlTree()
-    for key in keys:
-        tree.insert(key)
+    tree = AvlTree(keys)
     print(f"inserted {keys} -> tree of {len(tree)}:")
     print(format_tree(tree))
     if target is None:
@@ -162,10 +160,7 @@ def cmd_demo(args) -> int:
               f"{trace.direction.value} subtree by key {trace.replacement_key}")
     else:
         print("at most one child: unlinked directly, no replacement needed")
-    if events:
-        print("rotations: " + ", ".join(e.kind.value for e in events))
-    else:
-        print("rotations: none")
+    print("rotations: " + (", ".join(e.kind.value for e in events) or "none"))
     print("\nafter:")
     print(format_tree(tree))
     return 0

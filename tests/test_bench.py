@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import avlkit.bench
 from avlkit import (
     BenchmarkReport,
     Corpus,
     CorpusError,
     ExperimentConfig,
     ReplacementStrategy,
+    StructuralError,
     load_corpus,
     render_report,
     run_experiment,
@@ -176,15 +178,44 @@ class TestRunExperiment:
         assert report.sample_size is None
 
     def test_midrun_invariant_failure_aborts(self, small_corpus, monkeypatch):
-        import avlkit.bench
-        from avlkit import StructuralError
-
         class LyingTree(avlkit.bench.AvlTree):
             def delete(self, key, strategy=None, trace=None):
                 return False, []  # pretends every word is already gone
 
         monkeypatch.setattr(avlkit.bench, "AvlTree", LyingTree)
         with pytest.raises(StructuralError):
+            run_experiment(small_corpus, small_config())
+
+    @pytest.mark.parametrize("words, error, message", [
+        ((), CorpusError, "experiment needs a non-empty corpus"),
+        (("w1", "w2", "w1"), StructuralError, "duplicate word 'w1' in corpus"),
+    ])
+    def test_hand_built_corpus_is_checked(self, words, error, message):
+        corpus = Corpus(words=words, source_path="<hand-built>",
+                        original_count=len(words), sha256="")
+        with pytest.raises(error, match=f"^{message}$"):
+            run_experiment(corpus, small_config())
+
+    def test_invalid_tree_after_insert_phase_aborts(self, small_corpus, monkeypatch):
+        class SkewedTree(avlkit.bench.AvlTree):
+            def validate(self):
+                self.root.balance = 2  # out of range, whatever the real balance
+                return super().validate()
+
+        monkeypatch.setattr(avlkit.bench, "AvlTree", SkewedTree)
+        message = "^invariant violation after insert phase: balance-mismatch at "
+        with pytest.raises(StructuralError, match=message):
+            run_experiment(small_corpus, small_config())
+
+    def test_tree_left_non_empty_after_delete_phase_aborts(self, small_corpus, monkeypatch):
+        class KeepsLastWord(avlkit.bench.AvlTree):
+            def delete(self, key, strategy=None, trace=None):
+                if self.size == 1:
+                    return True, []  # claims the last deletion without making it
+                return super().delete(key, strategy, trace)
+
+        monkeypatch.setattr(avlkit.bench, "AvlTree", KeepsLastWord)
+        with pytest.raises(StructuralError, match="^tree not empty after delete phase$"):
             run_experiment(small_corpus, small_config())
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+import avlkit.cli
 import avlkit.tree
+from avlkit import AvlMap
 from avlkit.cli import main
 
 
@@ -105,6 +107,52 @@ class TestCheckCommand:
         assert main(["check", "--ops", "0"]) != 0
 
 
+class ForgetsOverwrites(AvlMap):
+    def insert(self, key, value):
+        super().insert(key, value)
+        return None
+
+
+class LosesDeletedValues(AvlMap):
+    def delete(self, key, *args):
+        super().delete(key, *args)
+        return None
+
+
+class MissesPresentKeys(AvlMap):
+    def __contains__(self, key):
+        return False
+
+
+class CountsOneTooMany(AvlMap):
+    def __len__(self):
+        return super().__len__() + 1
+
+
+class DropsLastItem(AvlMap):
+    def items(self):
+        return super().items()[:-1]
+
+
+class TestCheckReportsDivergence:
+    """Each way the map can disagree with the model, and the line that reports it."""
+
+    @pytest.mark.parametrize("broken, line", [
+        (ForgetsOverwrites, "divergence at op 64: key=123 expected=705858761 actual=None"),
+        (LosesDeletedValues, "divergence at op 39: key=55 expected=615508646 actual=None"),
+        (MissesPresentKeys, "divergence at op 62: key=123 expected=True actual=False"),
+        (CountsOneTooMany, "divergence at op 0: key=12 expected=0 actual=1"),
+        (DropsLastItem, "divergence: final contents do not match the reference model"),
+    ])
+    def test_divergence_is_reported(self, capsys, monkeypatch, broken, line):
+        monkeypatch.setattr(avlkit.cli, "AvlMap", broken)
+        code = main(["check", "--ops", "1500", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+
+
 class TestDemoCommand:
     def test_optimum_deletion_trace(self, capsys):
         code = main(["demo", "--keys", "4,2,5,1,3", "--delete", "4",
@@ -134,6 +182,13 @@ class TestDemoCommand:
         code = main(["demo", "--keys", "1,banana,3"])
         assert code != 0
         assert "malformed" in capsys.readouterr().err
+
+    def test_leaf_deletion_needs_no_replacement(self, capsys):
+        code = main(["demo", "--keys", "2,1,3", "--delete", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "at most one child: unlinked directly, no replacement needed" in out
+        assert "rotations: none" in out
 
     def test_keys_only_prints_tree(self, capsys):
         code = main(["demo", "--keys", "2,1,3"])

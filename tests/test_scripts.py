@@ -1,6 +1,7 @@
 """The two scripts under scripts/, run as a user runs them."""
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -27,9 +28,22 @@ def test_reproduce_script_writes_the_pinned_report(tmp_path):
                        "--out-dir", tmp_path)
     outputs = {"table": table}
     for fmt in ("csv", "json"):
-        outputs[fmt] = (tmp_path / f"rotations_sample_words_10k_s11_i3.{fmt}").read_bytes()
+        outputs[fmt] = (tmp_path / f"rotations_sample_words_10k_s11_i3_n500.{fmt}").read_bytes()
     for fmt, data in outputs.items():
         assert hashlib.md5(data).hexdigest() == test_bench.TestPinnedReport.MD5[fmt], fmt
+
+
+def test_subsample_and_full_runs_write_separate_files(tmp_path):
+    corpus = tmp_path / "words.txt"
+    corpus.write_text("".join(f"w{i:03d}\n" for i in range(60)), encoding="utf-8")
+    common = ("--corpus", corpus, "--iterations", 2, "--seed", 4, "--out-dir", tmp_path)
+    run_script("reproduce_rotation_table.py", *common)
+    run_script("reproduce_rotation_table.py", *common, "--sample-size", 20)
+    for stem, sample_size in (("rotations_words_s4_i2", None),
+                              ("rotations_words_s4_i2_n20", 20)):
+        assert (tmp_path / f"{stem}.csv").is_file()
+        report = json.loads((tmp_path / f"{stem}.json").read_text(encoding="utf-8"))
+        assert report["config"]["sample_size"] == sample_size
 
 
 @pytest.mark.parametrize("bad, message", [

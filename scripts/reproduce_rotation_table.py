@@ -5,7 +5,10 @@ Convenience driver around `avlkit bench`: one run, three artifacts
 (table to stdout, csv and json next to the corpus or into --out-dir).
 It loads and runs through `avlkit bench`'s own path
 (`avlkit.cli.run_bench`), so it reports a bad corpus or bad flags with
-the same `error: ...` line and exit status 1.
+the same `error: ...` line and exit status 1. It makes the output
+directory once the corpus and flags are known to be good and before the
+run starts, so a bad --out-dir fails at once and a bad corpus or bad
+flags leave no directory behind.
 
     python3 scripts/reproduce_rotation_table.py --corpus words.txt
     python3 scripts/reproduce_rotation_table.py --corpus data/sample_words_10k.txt \
@@ -41,7 +44,11 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args()
 
+    out_dir = args.out_dir or args.corpus.parent
+
     def announce(words):
+        # a bad --out-dir fails here, before a run whose results it would lose
+        out_dir.mkdir(parents=True, exist_ok=True)
         print(f"running: {words} words x {args.iterations} iterations x 3 strategies "
               f"(seed {args.seed})", file=sys.stderr)
 
@@ -53,12 +60,10 @@ def main() -> int:
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     sys.stdout.write(render_report(report, "table"))
-    out_dir = args.out_dir or args.corpus.parent
     stem = f"rotations_{args.corpus.stem}_s{args.seed}_i{args.iterations}"
     if args.sample_size is not None:
         stem += f"_n{args.sample_size}"
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for fmt in ("csv", "json"):
             target = out_dir / f"{stem}.{fmt}"
             target.write_text(render_report(report, fmt), encoding="utf-8")

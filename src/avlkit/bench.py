@@ -10,7 +10,6 @@ avlkit.rng, which makes reports byte-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +62,8 @@ def _parse_corpus(raw: bytes, source) -> Corpus:
     Duplicates keep their first occurrence. Raises CorpusError, naming the
     source, when the bytes are not UTF-8 or no word is left.
     """
+    import hashlib  # here, not at the top: it loads OpenSSL, and only a corpus needs it
+
     digest = hashlib.sha256(raw).hexdigest()
     try:
         lines = raw.decode("utf-8").splitlines()
@@ -182,16 +183,25 @@ class BenchmarkReport:
         )
 
 
-def _experiment_words(corpus: Corpus, config: ExperimentConfig) -> list:
-    words = list(corpus.words)
+def _words_used(corpus: Corpus, config: ExperimentConfig) -> int:
+    """How many corpus words a run of this config uses.
+
+    Raises ValueError when the sample is larger than the corpus.
+    """
+    count = len(corpus.words)
     if config.sample_size is None:
-        return words
-    if config.sample_size > len(words):
-        raise ValueError(
-            f"sample_size {config.sample_size} exceeds corpus size {len(words)}")
-    rng = SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM))
-    rng.shuffle(words)
-    return words[:config.sample_size]
+        return count
+    if config.sample_size > count:
+        raise ValueError(f"sample_size {config.sample_size} exceeds corpus size {count}")
+    return config.sample_size
+
+
+def _experiment_words(corpus: Corpus, config: ExperimentConfig) -> list:
+    count = _words_used(corpus, config)
+    words = list(corpus.words)
+    if config.sample_size is not None:
+        SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM)).shuffle(words)
+    return words[:count]
 
 
 def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:

@@ -6,8 +6,8 @@ import argparse
 import sys
 from typing import Optional
 
-from .bench import (BenchmarkReport, ExperimentConfig, load_corpus, render_report,
-                    run_experiment)
+from .bench import (BenchmarkReport, ExperimentConfig, _words_used, load_corpus,
+                    render_report, run_experiment)
 from .map import AvlMap
 from .rng import SplitMix64, derive_seed
 from .tree import AvlTree, DeletionTrace, ReplacementStrategy, StructuralError, format_tree
@@ -58,9 +58,10 @@ def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
     """Load the corpus, run the experiment and return its report: `avlkit bench`'s path.
 
     `strategy` is one of `avlkit bench --strategy`'s tokens. `announce`, if
-    given, is called with the number of words the run uses, just before the
-    run starts. A bad corpus, a bad config or a broken run prints
-    `error: ...` on stderr and returns None.
+    given, is called with the number of words the run uses once the corpus
+    and config are known to be good, just before the run starts. A bad
+    corpus, a bad config, an OSError or ValueError from `announce` or a
+    broken run prints `error: ...` on stderr and returns None.
     """
     if strategy == "all":
         strategies = tuple(ReplacementStrategy)
@@ -71,7 +72,7 @@ def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
         config = ExperimentConfig(iterations=iterations, seed=seed,
                                   strategies=strategies, sample_size=sample_size)
         if announce is not None:
-            announce(sample_size or len(corpus.words))
+            announce(_words_used(corpus, config))
         return run_experiment(corpus, config)
     except (OSError, ValueError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

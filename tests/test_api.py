@@ -1,10 +1,16 @@
-"""The top-level namespace holds exactly the names a caller spells."""
+"""The top-level namespace holds exactly the names a caller spells, and
+importing it does not load what only a corpus needs."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import avlkit
+from test_acceptance import REPO_ROOT, SAMPLE_CORPUS, SAMPLE_CORPUS_SHA256
 
 PUBLIC = {
     "AvlTree", "AvlMap", "ReplacementStrategy", "DeletionTrace", "Direction",
@@ -41,3 +47,30 @@ def test_star_import_binds_exactly_the_public_names():
 def test_internal_name_lives_in_its_module_only(module, name):
     assert hasattr(importlib.import_module(module), name)
     assert not hasattr(avlkit, name)
+
+
+# Runs in a fresh interpreter: prints whether hashlib was loaded after
+# `avlkit check` and `avlkit demo`, and again after a corpus load.
+FOOTPRINT = """
+import contextlib, io, json, sys
+import avlkit, avlkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [avlkit.cli.main(["check", "--ops", "200"]),
+             avlkit.cli.main(["demo", "--delete", "4"])]
+before = "hashlib" in sys.modules
+corpus = avlkit.load_corpus(sys.argv[1])
+print(json.dumps([codes, before, "hashlib" in sys.modules, corpus.sha256]))
+"""
+
+
+def test_hashlib_loads_only_with_a_corpus():
+    # pyproject's pytest pythonpath reaches only this process, not a child
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT, str(SAMPLE_CORPUS)],
+                            capture_output=True, check=True, env=env)
+    codes, before, after, digest = json.loads(result.stdout)
+    assert codes == [0, 0]
+    assert not before, "import avlkit, check or demo loaded hashlib"
+    assert after
+    assert digest == SAMPLE_CORPUS_SHA256

@@ -60,6 +60,7 @@ def test_reproduce_script_reports_bad_input(tmp_path, bad, message):
         capture_output=True, cwd=tmp_path)
     assert result.returncode == 1
     assert result.stdout == b""
+    assert b"running:" not in result.stderr  # no run is announced that never starts
     last_line = result.stderr.decode().splitlines()[-1]
     assert last_line.startswith("error: ") and message in last_line
     assert not out_dir.exists()
@@ -74,7 +75,8 @@ def test_reproduce_script_reports_an_unwritable_out_dir(tmp_path):
          "--out-dir", str(blocker / "out")],
         capture_output=True, cwd=tmp_path)
     assert result.returncode == 1
-    assert result.stdout  # the table is printed before the write fails
+    assert result.stdout == b""  # the directory fails before the run starts
+    assert b"running:" not in result.stderr
     last_line = result.stderr.decode().splitlines()[-1]
     assert last_line.startswith("error: ") and "Not a directory" in last_line
 

@@ -11,13 +11,12 @@ avlkit.rng, which makes reports byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .counters import PercentageRow, StrategyTally, percentage_row
 from .rng import SplitMix64, derive_seed
-from .tree import AvlTree, ReplacementStrategy, StructuralError
+from .tree import AvlTree, ReplacementStrategy, StructuralError, _FrozenRecord, _Record
 
 
 class CorpusError(ValueError):
@@ -37,18 +36,21 @@ _ROW_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(_FrozenRecord):
     """Deduplicated word list plus provenance.
 
     original_count is the raw line count before blank removal and
     deduplication; sha256 fingerprints the source bytes.
     """
 
-    words: tuple[str, ...]
-    source_path: str
-    original_count: int
-    sha256: str
+    __slots__ = ("words", "source_path", "original_count", "sha256")
+
+    def __init__(self, words: tuple[str, ...], source_path: str, original_count: int,
+                 sha256: str):
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "source_path", source_path)
+        object.__setattr__(self, "original_count", original_count)
+        object.__setattr__(self, "sha256", sha256)
 
     @classmethod
     def from_words(cls, words, source_path="<memory>") -> "Corpus":
@@ -91,45 +93,54 @@ def load_corpus(path) -> Corpus:
     return _parse_corpus(Path(path).read_bytes(), path)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    iterations: int = 100
-    seed: int = 1
-    strategies: tuple[ReplacementStrategy, ...] = tuple(ReplacementStrategy)
-    sample_size: Optional[int] = None
+class ExperimentConfig(_FrozenRecord):
+    """What run_experiment runs. Any iterable of strategies is read once
+    into a tuple, in order, before it is checked."""
 
-    def __post_init__(self):
-        numbers = {"iterations": self.iterations, "seed": self.seed}
-        if self.sample_size is not None:
-            numbers["sample_size"] = self.sample_size
+    __slots__ = ("iterations", "seed", "strategies", "sample_size")
+
+    def __init__(self, iterations: int = 100, seed: int = 1,
+                 strategies: Iterable[ReplacementStrategy] = tuple(ReplacementStrategy),
+                 sample_size: Optional[int] = None):
+        numbers = {"iterations": iterations, "seed": seed}
+        if sample_size is not None:
+            numbers["sample_size"] = sample_size
         for name, value in numbers.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.iterations < 1:
+        if iterations < 1:
             raise ValueError("iterations must be positive")
-        if not self.strategies:
+        strategies = tuple(strategies or ())
+        if not strategies:
             raise ValueError("at least one strategy is required")
-        unknown = [strategy for strategy in self.strategies
+        unknown = [strategy for strategy in strategies
                    if not isinstance(strategy, ReplacementStrategy)]
         if unknown:
             raise ValueError(f"unknown strategy: {', '.join(map(repr, unknown))}")
-        repeated = [strategy.value for strategy in dict.fromkeys(self.strategies)
-                    if self.strategies.count(strategy) > 1]
+        repeated = [strategy.value for strategy in dict.fromkeys(strategies)
+                    if strategies.count(strategy) > 1]
         if repeated:
             raise ValueError(f"strategy listed more than once: {', '.join(repeated)}")
-        if self.sample_size is not None and self.sample_size < 1:
+        if sample_size is not None and sample_size < 1:
             raise ValueError("sample_size must be positive")
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "sample_size", sample_size)
 
 
-@dataclass
-class BenchmarkReport:
+class BenchmarkReport(_Record):
     """Per-strategy rotation totals; averages and percentages are derived."""
 
-    seed: int
-    iterations: int
-    corpus_sha256: str
-    sample_size: Optional[int]
-    rows: list[StrategyTally]
+    __slots__ = ("seed", "iterations", "corpus_sha256", "sample_size", "rows")
+
+    def __init__(self, seed: int, iterations: int, corpus_sha256: str,
+                 sample_size: Optional[int], rows: list[StrategyTally]):
+        self.seed = seed
+        self.iterations = iterations
+        self.corpus_sha256 = corpus_sha256
+        self.sample_size = sample_size
+        self.rows = rows
 
     def row_for(self, strategy: ReplacementStrategy) -> StrategyTally:
         for row in self.rows:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import Optional
 
-from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind
+from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind, _Record
 
 # Bound once: looking an enum member up on its class costs more than a bump.
 _LL = RotationKind.LL
@@ -13,14 +13,16 @@ _RL = RotationKind.RL
 _DELETE = Phase.DELETE
 
 
-@dataclass
-class RotationCounters:
+class RotationCounters(_Record):
     """Tallies of the four rotation kinds. Totals are ints, averages floats."""
 
-    ll: float = 0
-    lr: float = 0
-    rl: float = 0
-    rr: float = 0
+    __slots__ = ("ll", "lr", "rl", "rr")
+
+    def __init__(self, ll: float = 0, lr: float = 0, rl: float = 0, rr: float = 0):
+        self.ll = ll
+        self.lr = lr
+        self.rl = rl
+        self.rr = rr
 
     @property
     def sum(self) -> float:
@@ -48,17 +50,22 @@ class RotationCounters:
                 "sum": self.sum}
 
 
-@dataclass
-class StrategyTally:
+class StrategyTally(_Record):
     """One strategy's rotation totals, split by operation phase.
 
     Only totals are stored; the per-iteration averages are derived from them.
+    A tally given no totals starts its own at zero.
     """
 
-    strategy: ReplacementStrategy
-    iterations: int = 0
-    insert_totals: RotationCounters = field(default_factory=RotationCounters)
-    delete_totals: RotationCounters = field(default_factory=RotationCounters)
+    __slots__ = ("strategy", "iterations", "insert_totals", "delete_totals")
+
+    def __init__(self, strategy: ReplacementStrategy, iterations: int = 0,
+                 insert_totals: Optional[RotationCounters] = None,
+                 delete_totals: Optional[RotationCounters] = None):
+        self.strategy = strategy
+        self.iterations = iterations
+        self.insert_totals = RotationCounters() if insert_totals is None else insert_totals
+        self.delete_totals = RotationCounters() if delete_totals is None else delete_totals
 
     def record(self, event: RotationEvent) -> None:
         """Increment exactly one counter, chosen by the event's kind and phase."""
@@ -90,18 +97,21 @@ class StrategyTally:
                    totals("insert"), totals("delete"))
 
 
-@dataclass
-class PercentageRow:
+class PercentageRow(_Record):
     """Optimum's counts as a percentage of the two baselines' column means."""
 
-    ll: float
-    lr: float
-    rl: float
-    rr: float
-    sum: float
+    __slots__ = ("ll", "lr", "rl", "rr", "sum")
+
+    def __init__(self, ll: float, lr: float, rl: float, rr: float, sum: float):
+        self.ll = ll
+        self.lr = lr
+        self.rl = rl
+        self.rr = rr
+        self.sum = sum
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"ll": self.ll, "lr": self.lr, "rl": self.rl, "rr": self.rr,
+                "sum": self.sum}
 
 
 def percentage_row(optimum: RotationCounters, baseline_a: RotationCounters,

@@ -42,7 +42,6 @@ writes every other violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 from typing import Any, Iterator, NamedTuple, Optional
@@ -101,33 +100,92 @@ class Node:
         return f"Node({self.key!r}, balance={self.balance})"
 
 
-@dataclass
-class Violation:
-    kind: str
-    key: Any
-    detail: str
+class _Record:
+    """A record whose fields are its __slots__, in order.
+
+    It equals a record of the same class with equal fields, reprs as
+    Name(field=value, ...), matches positional patterns, and pickles and
+    copies through its constructor. It is mutable, so it is unhashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class _FrozenRecord(_Record):
+    """A _Record that refuses assignment and deletion, and hashes by value.
+
+    A subclass's __init__ sets its fields with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Record):
+    __slots__ = ("kind", "key", "detail")
+
+    def __init__(self, kind: str, key: Any, detail: str):
+        self.kind = kind
+        self.key = key
+        self.detail = detail
+
+
+class ValidationReport(_Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: Optional[list[Violation]] = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass
-class DeletionTrace:
+class DeletionTrace(_Record):
     """Optional record of how a deletion was carried out, for demos and tests.
 
-    Filled in only when the deleted node had two children.
+    Every delete or pop that returns rewrites all four fields: after it
+    the trace equals a fresh one given to that same call. The last three
+    stay None unless the deleted node had two children. A call that
+    raises leaves the trace as it was.
     """
 
-    two_child: bool = False
-    node_balance: Optional[int] = None
-    direction: Optional[Direction] = None
-    replacement_key: Any = None
+    __slots__ = ("two_child", "node_balance", "direction", "replacement_key")
+
+    def __init__(self, two_child: bool = False, node_balance: Optional[int] = None,
+                 direction: Optional[Direction] = None, replacement_key: Any = None):
+        self.two_child = two_child
+        self.node_balance = node_balance
+        self.direction = direction
+        self.replacement_key = replacement_key
 
 
 def _rotate_ll(node: Node) -> Node:
@@ -365,24 +423,27 @@ def _locate(tree, key, strategy):
 def _delete(tree, key, strategy, events, trace):
     """Delete from tree; returns the removed value, or _ABSENT for a missing key.
 
-    _locate is the read phase. The write phase fills trace, if one is
-    given, from _locate's result, moves the heir's key and value into the
-    node, and splices the heir out with _relink. Retracing then climbs
-    the path and stops once a subtree's height is unchanged.
+    _locate is the read phase. After it, trace, if one is given, gets
+    every field rewritten from _locate's result: the defaults for a missing
+    key or a node with fewer than two children. The write phase moves the
+    heir's key and value into the node and splices the heir out with
+    _relink. Retracing then climbs the path and stops once a subtree's
+    height is unchanged.
     """
     located = _locate(tree, key, strategy)
     if located is None:
+        if trace is not None:
+            trace.__init__()
         return _ABSENT
     path, node, heir, direction = located
     value = node.value
     if direction is not None:
         if trace is not None:
-            trace.two_child = True
-            trace.node_balance = node.balance
-            trace.direction = direction
-            trace.replacement_key = heir.key
+            trace.__init__(True, node.balance, direction, heir.key)
         node.key = heir.key
         node.value = heir.value
+    elif trace is not None:
+        trace.__init__()
     tree.size -= 1
     parent = path[-1] if path else None
     step = 1 if parent is not None and parent.left is heir else -1

@@ -1,5 +1,5 @@
 """The top-level namespace holds exactly the names a caller spells, and
-importing it does not load what only a corpus needs."""
+importing it loads neither code generation nor what only a corpus needs."""
 
 import importlib
 import json
@@ -49,17 +49,28 @@ def test_internal_name_lives_in_its_module_only(module, name):
     assert not hasattr(avlkit, name)
 
 
-# Runs in a fresh interpreter: prints whether hashlib was loaded after
+# Runs in a fresh interpreter. Prints which of the modules that generate
+# code (dataclasses, inspect) importing avlkit loaded, and then running
+# `avlkit check`; one the interpreter loaded at startup, as some site
+# setups do, is not counted. Then prints whether hashlib was loaded after
 # `avlkit check` and `avlkit demo`, and again after a corpus load.
 FOOTPRINT = """
-import contextlib, io, json, sys
+import sys
+startup = set(sys.modules)
+import contextlib, io, json
+def loaded():
+    return [name for name in ("dataclasses", "inspect")
+            if name in sys.modules and name not in startup]
 import avlkit, avlkit.cli
+after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [avlkit.cli.main(["check", "--ops", "200"]),
-             avlkit.cli.main(["demo", "--delete", "4"])]
+    codes = [avlkit.cli.main(["check", "--ops", "200"])]
+    after_check = loaded()
+    codes.append(avlkit.cli.main(["demo", "--delete", "4"]))
 before = "hashlib" in sys.modules
 corpus = avlkit.load_corpus(sys.argv[1])
-print(json.dumps([codes, before, "hashlib" in sys.modules, corpus.sha256]))
+print(json.dumps([codes, after_import, after_check, before, "hashlib" in sys.modules,
+                  corpus.sha256]))
 """
 
 
@@ -69,8 +80,10 @@ def test_hashlib_loads_only_with_a_corpus():
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", FOOTPRINT, str(SAMPLE_CORPUS)],
                             capture_output=True, check=True, env=env)
-    codes, before, after, digest = json.loads(result.stdout)
+    codes, after_import, after_check, before, after, digest = json.loads(result.stdout)
     assert codes == [0, 0]
+    assert after_import == [], "import avlkit loaded a code-generating module"
+    assert after_check == [], "avlkit check loaded a code-generating module"
     assert not before, "import avlkit, check or demo loaded hashlib"
     assert after
     assert digest == SAMPLE_CORPUS_SHA256

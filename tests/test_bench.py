@@ -105,6 +105,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"unknown strategy: {strategy!r}"):
             ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM, strategy))
 
+    def test_strategies_are_kept_as_a_tuple(self):
+        order = (ReplacementStrategy.OPTIMUM, ReplacementStrategy.RIGHTMOST_OF_LEFT)
+        config = ExperimentConfig(strategies=list(order))
+        assert config.strategies == order
+        assert config == ExperimentConfig(strategies=order)
+        assert hash(config) == hash(ExperimentConfig(strategies=order))
+
+    def test_an_iterator_of_strategies_is_read_once(self, small_corpus):
+        config = small_config(strategies=iter(ReplacementStrategy))
+        assert config.strategies == tuple(ReplacementStrategy)
+        report = run_experiment(small_corpus, config)
+        assert [row.strategy for row in report.rows] == list(ReplacementStrategy)
+
+    @pytest.mark.parametrize("strategies", [(), [], iter([]), None])
+    def test_no_strategy_is_rejected(self, strategies):
+        with pytest.raises(ValueError, match="at least one strategy is required"):
+            ExperimentConfig(strategies=strategies)
+
     def test_sample_size_above_corpus_rejected(self, small_corpus):
         with pytest.raises(ValueError):
             run_experiment(small_corpus, small_config(sample_size=999))

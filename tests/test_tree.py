@@ -173,6 +173,27 @@ class TestDelete:
         assert trace.direction is Direction.LEFT
         assert trace.replacement_key == 3
 
+    @pytest.mark.parametrize("key", [1, 2, 99])  # a leaf, a node with one child, absent
+    @pytest.mark.parametrize("method", ["delete", "pop"])
+    def test_reused_trace_holds_only_the_last_call(self, key, method):
+        tree = demo_tree()
+        trace = DeletionTrace()
+        tree.delete(4, OPTIMUM, trace)
+        assert trace == DeletionTrace(True, -1, Direction.LEFT, 3)
+        getattr(tree, method)(key, OPTIMUM, trace)
+        assert trace == DeletionTrace()
+
+    def test_a_call_that_raises_leaves_the_trace_alone(self):
+        tree = demo_tree()
+        trace = DeletionTrace()
+        tree.delete(4, OPTIMUM, trace)
+        for remove in (tree.delete, tree.pop):
+            with pytest.raises(ValueError):
+                remove(2, "optimum", trace)
+            with pytest.raises(TypeError):
+                remove("x", OPTIMUM, trace)  # str < int
+        assert trace == DeletionTrace(True, -1, Direction.LEFT, 3)
+
     def test_single_child_and_leaf_removal(self):
         tree = AvlTree([2, 1, 3, 4])
         assert tree.delete(3, OPTIMUM)[0]  # single right child

@@ -80,15 +80,18 @@ def test_mixed_ops_keep_every_invariant(ops):
     assert_tree_sane(tree, "mixed ops")
 
 
-@given(st.lists(st.tuples(st.sampled_from(["insert", "delete"]),
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "pop"]),
                           st.integers(min_value=0, max_value=15),
                           st.sampled_from(STRATEGIES)), max_size=200))
 def test_trace_reports_the_heir_the_strategy_takes(ops):
     """Every DeletionTrace field, for all three strategies, against the tree
     as it stood before the call: a two-child node's balance, the side the
     strategy's rule picks, and the in-order neighbour on that side. Keys
-    come from a small range so that most deletions find their key."""
+    come from a small range so that most deletions find their key. One
+    trace serves every delete and pop, so each call must overwrite what
+    the one before it wrote."""
     tree = AvlTree()
+    trace = DeletionTrace()
     for action, key, strategy in ops:
         if action == "insert":
             tree.insert(key)
@@ -99,8 +102,7 @@ def test_trace_reports_the_heir_the_strategy_takes(ops):
         two_child = node is not None and node.left is not None and node.right is not None
         balance = node.balance if node is not None else None
         keys = tree.in_order()
-        trace = DeletionTrace()
-        tree.delete(key, strategy, trace)
+        getattr(tree, action)(key, strategy, trace)
         if not two_child:
             assert trace == DeletionTrace()
             continue

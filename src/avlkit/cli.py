@@ -59,15 +59,19 @@ def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
 
     `strategy` is one of `avlkit bench --strategy`'s tokens. `announce`, if
     given, is called with the number of words the run uses once the corpus
-    and config are known to be good, just before the run starts. A bad
-    corpus, a bad config, an OSError or ValueError from `announce` or a
-    broken run prints `error: ...` on stderr and returns None.
+    and config are known to be good, just before the run starts. An
+    unknown strategy token, a bad corpus, a bad config, an OSError or
+    ValueError from `announce` or a broken run prints `error: ...` on
+    stderr and returns None.
     """
-    if strategy == "all":
-        strategies = tuple(ReplacementStrategy)
-    else:
-        strategies = (_STRATEGY_TOKENS[strategy],)
     try:
+        if strategy == "all":
+            strategies = tuple(ReplacementStrategy)
+        elif strategy in _STRATEGY_TOKENS:
+            strategies = (_STRATEGY_TOKENS[strategy],)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}: expected one of "
+                             f"{', '.join([*_STRATEGY_TOKENS, 'all'])}")
         corpus = load_corpus(corpus_path)
         config = ExperimentConfig(iterations=iterations, seed=seed,
                                   strategies=strategies, sample_size=sample_size)

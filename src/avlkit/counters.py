@@ -10,6 +10,8 @@ from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind, _Reco
 _LL = RotationKind.LL
 _LR = RotationKind.LR
 _RL = RotationKind.RL
+_RR = RotationKind.RR
+_INSERT = Phase.INSERT
 _DELETE = Phase.DELETE
 
 
@@ -29,14 +31,17 @@ class RotationCounters(_Record):
         return self.ll + self.lr + self.rl + self.rr
 
     def bump(self, kind: RotationKind) -> None:
+        """Add one to kind's tally. A kind that is not a RotationKind member raises ValueError."""
         if kind is _LL:
             self.ll += 1
         elif kind is _LR:
             self.lr += 1
         elif kind is _RL:
             self.rl += 1
-        else:
+        elif kind is _RR:
             self.rr += 1
+        else:
+            raise ValueError(f"unknown rotation kind {kind!r}: expected a RotationKind member")
 
     def averaged(self, iterations: int) -> "RotationCounters":
         """Per-iteration means. Requires at least one iteration."""
@@ -68,9 +73,18 @@ class StrategyTally(_Record):
         self.delete_totals = RotationCounters() if delete_totals is None else delete_totals
 
     def record(self, event: RotationEvent) -> None:
-        """Increment exactly one counter, chosen by the event's kind and phase."""
-        side = self.delete_totals if event.phase is _DELETE else self.insert_totals
-        side.bump(event.kind)
+        """Increment exactly one counter, chosen by the event's kind and phase.
+
+        A phase that is not a Phase member raises ValueError, as bump does
+        for a kind.
+        """
+        phase = event.phase
+        if phase is _DELETE:
+            self.delete_totals.bump(event.kind)
+        elif phase is _INSERT:
+            self.insert_totals.bump(event.kind)
+        else:
+            raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
 
     @property
     def delete_average(self) -> RotationCounters:

@@ -34,10 +34,13 @@ walk behind height(), clone() and validate(), the in-order walk behind
 in_order(), items_in_order() and iteration, and format_tree()'s drawing
 walk. Only _sound, validate()'s yes/no pass, is bounded by size instead
 of a set. validate() makes two passes. The yes/no pre-order walk accepts
-a sound tree with an empty report. Only a tree it rejects gets the exact
-walk: the post-order walk, whose error validate() alone turns into a
-report, as a single "cycle" violation, and a fold of its nodes that
-writes every other violation.
+a sound tree with an empty report. It checks a leaf child from its
+parent, so it never stacks or visits one, and it compares each
+in-order-adjacent pair of keys once, as the exact walk does, though not
+in the same order. Only a tree it rejects gets the exact walk: the
+post-order walk, whose error validate() alone turns into a report, as a
+single "cycle" violation, and a fold of its nodes that writes every
+other violation.
 """
 
 from __future__ import annotations
@@ -505,23 +508,35 @@ def _sound(root, size):
     length of the descent along the taller side, by balance. A balance
     other than -1, 0 or +1 (a KeyError in _HEIGHT_DROPS), a missing child
     expected at a height other than 0, a key out of its bounds, or a node
-    count other than size rejects, and so does any other exception. Only
-    right children are stacked, and the walk stops once it passes size
-    nodes, so a cycle cannot hang it. No node list is kept.
+    count other than size rejects, and so does any other exception. A
+    leaf child (no left and no right link) is checked in full from its
+    parent and never stacked or visited: its balance against 0, the
+    height 1 its parent must expect, and its key against the parent's key
+    and the bound it inherits. About half of an AVL tree's nodes are
+    leaves. Only right children that are not leaves are stacked. The loop
+    visits at most size nodes, so a cycle cannot hang it, and it accepts
+    only when the nodes visited and the leaves checked from their parents
+    add up to size. No node list is kept.
 
     Why acceptance means the exact walk would report nothing:
     - Order. A node is compared with its lower bound only when it has no
       left child, and with its upper bound only when it has no right
-      child. Those bounds are its in-order neighbours, so each
-      in-order-adjacent pair is compared once. On a sound tree these are
-      exactly the exact walk's comparisons, with the same operands in the
-      same order, so none of its order checks can fail, for any keys.
+      child; a leaf checked from its parent is compared with both, one of
+      them the parent's key. Those bounds are its in-order neighbours, so
+      each in-order-adjacent pair is compared exactly once, with the
+      operands of the exact walk's comparison, the smaller key on the
+      left of <. The order differs, since a right leaf is compared before
+      its parent's left subtree, but on a sound tree the set of
+      comparisons is the exact walk's, so none of its order checks can
+      fail, for any keys.
     - Heights. Under each node the expected heights of the children are
-      within one of each other, and a missing child must be expected at
-      0. So, from the leaves up, every subtree has the height its parent
-      expected, and every stored balance equals the recomputed difference.
-    - Repeats. A cycle never ends within size nodes. Under a strict total
-      order a node reached twice repeats a key in the in-order sequence,
+      within one of each other; a missing child must be expected at 0 and
+      a leaf child at 1, with balance 0. So, from the leaves up, every
+      subtree has the height its parent expected, and every stored
+      balance equals the recomputed difference.
+    - Repeats. A cycle never ends within size visits. Under a strict
+      total order a node reached twice, a visited node or a leaf that two
+      parents share, repeats a key in the in-order sequence of the walk,
       which the order checks reject; so no node is reached twice.
     """
     try:
@@ -533,26 +548,36 @@ def _sound(root, size):
             node = node.right if node.balance > 0 else node.left
         if node is not None:
             return False
-        stack, node, lo, hi = [], root, None, None
+        stack, node, lo, hi, leaves = [], root, None, None, 0
         push, pop = stack.append, stack.pop
-        for reached in range(1, size + 1):
+        for visited in range(1, size + 1):
             left_drop, right_drop = _HEIGHT_DROPS[node.balance]
             key, right = node.key, node.right
             if right is None:
                 if height != right_drop or (hi is not None and not key < hi):
                     return False
+            elif right.left is None and right.right is None:
+                if (right.balance != 0 or height != right_drop + 1 or not key < right.key
+                        or (hi is not None and not right.key < hi)):
+                    return False
+                leaves += 1
             else:
                 push((right, height - right_drop, key, hi))
-            node = node.left
-            if node is None:
+            left = node.left
+            if left is None:
                 if height != left_drop or (lo is not None and not lo < key):
                     return False
-                if not stack:
-                    return reached == size
-                node, height, lo, hi = pop()
+            elif left.left is None and left.right is None:
+                if (left.balance != 0 or height != left_drop + 1
+                        or (lo is not None and not lo < left.key) or not left.key < key):
+                    return False
+                leaves += 1
             else:
-                height -= left_drop
-                hi = key
+                node, height, hi = left, height - left_drop, key
+                continue
+            if not stack:
+                return visited + leaves == size
+            node, height, lo, hi = pop()
         return size == 0  # size nodes passed with more to come, or no root
     except Exception:
         return False

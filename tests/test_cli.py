@@ -61,6 +61,13 @@ class TestBenchCommand:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_strategy_token_is_reported(self, corpus_file, capsys):
+        assert avlkit.cli.run_bench(corpus_file, 1, 1, strategy="bogus") is None
+        captured = capsys.readouterr()
+        assert captured.err == ("error: unknown strategy 'bogus': expected one of "
+                                "rightmost, leftmost, optimum, all\n")
+        assert captured.out == ""
+
     def test_unknown_flag_rejected_before_work(self, corpus_file):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--corpus", corpus_file, "--frobnicate"])

@@ -34,6 +34,20 @@ class TestRecord:
             k += 1
         assert t.insert_totals.sum + t.delete_totals.sum == k
 
+    @pytest.mark.parametrize("kind", ["LL", None, Phase.DELETE])
+    def test_bump_rejects_a_kind_that_is_not_a_member(self, kind):
+        counters = RotationCounters()
+        with pytest.raises(ValueError, match=f"unknown rotation kind {kind!r}"):
+            counters.bump(kind)
+        assert counters == RotationCounters()
+
+    @pytest.mark.parametrize("phase", ["delete", None, RotationKind.LL])
+    def test_record_rejects_a_phase_that_is_not_a_member(self, phase):
+        t = tally()
+        with pytest.raises(ValueError, match=f"unknown phase {phase!r}"):
+            t.record(RotationEvent(RotationKind.LL, phase))
+        assert t.insert_totals.sum == t.delete_totals.sum == 0
+
 
 class TestAverage:
     def test_divides_by_iterations(self):

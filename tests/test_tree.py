@@ -20,7 +20,7 @@ from avlkit import (
 )
 from avlkit.rng import SplitMix64
 import avlkit.tree as tree_mod
-from avlkit.tree import Node, select_replacement
+from avlkit.tree import Node, _sound, select_replacement
 
 from reference import (
     all_nodes,
@@ -702,6 +702,16 @@ class TestValidateFastPath:
             assert tree.validate().ok
         assert len(trees) == 626  # 35 shapes, then 197 keys x 3 strategies
 
+    def test_one_key_comparison_per_adjacent_pair(self):
+        trees = itertools.chain(*(random_trees(seed, 1500) for seed in (1, 2, 3)), swept_trees())
+        for tree in trees:
+            copy = tree.clone()  # random_trees goes on with int keys
+            for node in all_nodes(copy.root):
+                node.key = CountingKey(node.key)
+            CountingKey.comparisons = 0
+            assert _sound(copy.root, copy.size) is True
+            assert CountingKey.comparisons == max(copy.size - 1, 0)
+
 
 class FailingKey:
     """Int-like key whose comparisons raise once a shared allowance runs out."""
@@ -766,6 +776,57 @@ class TestValidateEdgeInputs:
         tree.root.balance = stored  # its subtrees are of equal height
         report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
         assert report == reference_violations(tree) != []
+
+
+PERFECT = range(1, 8)  # 4 over 2 and 6, over the leaves 1, 3, 5 and 7
+# 8 over a perfect 4; 10 over the leaf 9 and 12, which is over the leaves 11 and 13
+LEFT_LEAF_BESIDE_HEIGHT_2 = (8, 4, 10, 2, 6, 9, 12, 1, 3, 5, 7, 11, 13)
+# 8 over a perfect 4; 12 over 10, which is over the leaves 9 and 11, and the leaf 13
+RIGHT_LEAF_BESIDE_HEIGHT_2 = (8, 4, 12, 2, 6, 10, 13, 1, 3, 5, 7, 9, 11)
+
+
+def node_at(tree, key):
+    return next(node for node in all_nodes(tree.root) if node.key == key)
+
+
+class TestSoundLeafChildren:
+    """The yes/no pass checks a leaf child from its parent; each of those checks rejects."""
+
+    @pytest.mark.parametrize("keys, key, field, value", [
+        *((PERFECT, leaf, "balance", balance)
+          for leaf in (1, 3) for balance in (1, -1, True)),
+        (PERFECT, 1, "key", 2),  # a left leaf not below its parent
+        (PERFECT, 5, "key", 3.5),  # a left leaf below its lower bound, 4
+        (PERFECT, 3, "key", 2),  # a right leaf not above its parent
+        (PERFECT, 3, "key", 4.5),  # a right leaf above its upper bound, 4
+        # the parent's balance 0 expects the leaf beside a height-2 subtree at height 2
+        (LEFT_LEAF_BESIDE_HEIGHT_2, 10, "balance", 0),
+        (RIGHT_LEAF_BESIDE_HEIGHT_2, 12, "balance", 0),
+    ])
+    def test_a_bad_leaf_child(self, keys, key, field, value):
+        tree = AvlTree(keys)
+        assert _sound(tree.root, tree.size) is True
+        setattr(node_at(tree, key), field, value)
+        assert _sound(tree.root, tree.size) is False
+        report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+        assert report == reference_violations(tree) != []
+
+    @pytest.mark.parametrize("size", [6, 8])
+    def test_a_size_off_by_one_when_the_last_nodes_are_leaf_children(self, size):
+        tree = AvlTree(PERFECT)
+        tree.size = size
+        assert _sound(tree.root, tree.size) is False
+        report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+        assert report == reference_violations(tree) == [
+            ("size-mismatch", None, f"size says {size}, found 7 reachable nodes")]
+
+    def test_a_leaf_shared_by_two_parents(self):
+        tree = AvlTree(PERFECT)
+        tree.root.right.left = tree.root.left.right  # 3: right of 2 and left of 6
+        tree.size = 7  # the nodes reached, counting 3 twice
+        assert _sound(tree.root, tree.size) is False
+        # the recursive reference cannot see a shared node; the exact walk reports it
+        assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", 3)]
 
 
 class TestFormatTree:

@@ -52,6 +52,8 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=GENERATOR_SEED)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
     words = generate(args.count, args.seed)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(words) + "\n", encoding="utf-8")

@@ -3,6 +3,9 @@
 
 Convenience driver around `avlkit bench`: one run, three artifacts
 (table to stdout, csv and json next to the corpus or into --out-dir).
+It takes `avlkit bench`'s run flags (--corpus, --iterations, --seed,
+--sample-size, declared once by `avlkit.cli.add_run_flags`, with the
+same defaults) plus --out-dir, and always runs all three strategies.
 It loads and runs through `avlkit bench`'s own path
 (`avlkit.cli.run_bench`), so it reports a bad corpus or bad flags with
 the same `error: ...` line and exit status 1. It makes the output
@@ -32,19 +35,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from avlkit import render_report  # noqa: E402
-from avlkit.cli import run_bench  # noqa: E402
+from avlkit.cli import add_run_flags, run_bench  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--corpus", required=True, type=Path)
-    parser.add_argument("--iterations", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--sample-size", type=int, default=None)
+    add_run_flags(parser)
     parser.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args()
 
-    out_dir = args.out_dir or args.corpus.parent
+    corpus = Path(args.corpus)
+    out_dir = args.out_dir or corpus.parent
 
     def announce(words):
         # a bad --out-dir fails here, before a run whose results it would lose
@@ -60,7 +61,7 @@ def main() -> int:
     print(f"done in {time.perf_counter() - started:.1f}s", file=sys.stderr)
 
     sys.stdout.write(render_report(report, "table"))
-    stem = f"rotations_{args.corpus.stem}_s{args.seed}_i{args.iterations}"
+    stem = f"rotations_{corpus.stem}_s{args.seed}_i{args.iterations}"
     if args.sample_size is not None:
         stem += f"_n{args.sample_size}"
     try:

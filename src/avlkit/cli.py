@@ -19,6 +19,15 @@ _STRATEGY_TOKENS = {
 }
 
 
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the flags of one run: the ones `avlkit bench` and the reproduce script share."""
+    parser.add_argument("--corpus", required=True, help="newline-delimited word file")
+    parser.add_argument("--iterations", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--sample-size", type=int, default=None,
+                        help="run on a seeded subsample of the corpus")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avlkit",
@@ -27,12 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="run the shuffle-insert/shuffle-delete rotation benchmark")
-    bench.add_argument("--corpus", required=True, help="newline-delimited word file")
-    bench.add_argument("--iterations", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=1)
+    add_run_flags(bench)
     bench.add_argument("--strategy", choices=[*_STRATEGY_TOKENS, "all"], default="all")
-    bench.add_argument("--sample-size", type=int, default=None,
-                       help="run on a seeded subsample of the corpus")
     bench.add_argument("--format", choices=["table", "csv", "json"], default="table")
     bench.set_defaults(func=cmd_bench)
 
@@ -53,25 +58,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
+def run_bench(corpus_path, iterations, seed, sample_size=None,
+              strategies=tuple(ReplacementStrategy),
               announce=None) -> Optional[BenchmarkReport]:
     """Load the corpus, run the experiment and return its report: `avlkit bench`'s path.
 
-    `strategy` is one of `avlkit bench --strategy`'s tokens. `announce`, if
-    given, is called with the number of words the run uses once the corpus
-    and config are known to be good, just before the run starts. An
-    unknown strategy token, a bad corpus, a bad config, an OSError or
+    `strategies` are ReplacementStrategy members, checked by
+    ExperimentConfig. `announce`, if given, is called with the number of
+    words the run uses once the corpus and config are known to be good,
+    just before the run starts. A bad corpus, a bad config, an OSError or
     ValueError from `announce` or a broken run prints `error: ...` on
     stderr and returns None.
     """
     try:
-        if strategy == "all":
-            strategies = tuple(ReplacementStrategy)
-        elif strategy in _STRATEGY_TOKENS:
-            strategies = (_STRATEGY_TOKENS[strategy],)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}: expected one of "
-                             f"{', '.join([*_STRATEGY_TOKENS, 'all'])}")
         corpus = load_corpus(corpus_path)
         config = ExperimentConfig(iterations=iterations, seed=seed,
                                   strategies=strategies, sample_size=sample_size)
@@ -84,8 +83,9 @@ def run_bench(corpus_path, iterations, seed, sample_size=None, strategy="all",
 
 
 def cmd_bench(args) -> int:
-    report = run_bench(args.corpus, args.iterations, args.seed, args.sample_size,
-                       args.strategy)
+    strategies = (tuple(ReplacementStrategy) if args.strategy == "all"
+                  else (_STRATEGY_TOKENS[args.strategy],))
+    report = run_bench(args.corpus, args.iterations, args.seed, args.sample_size, strategies)
     if report is None:
         return 1
     sys.stdout.write(render_report(report, args.format))

@@ -73,6 +73,17 @@ class TestLoadCorpus:
         assert from_memory.original_count == from_file.original_count == 5
         assert from_memory.sha256 == from_file.sha256
 
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        body = "word\nword\nother\n".encode("utf-8")
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        without, with_mark = load_corpus(plain), load_corpus(marked)
+        assert with_mark.words == without.words == ("word", "other")
+        assert with_mark.original_count == without.original_count == 3
+        assert with_mark.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert with_mark.sha256 != without.sha256
+
     def test_non_utf8_file_rejected_with_its_name(self, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes("caf\u00e9\n".encode("latin-1"))
@@ -91,6 +102,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="optimum"):
             ExperimentConfig(strategies=(ReplacementStrategy.OPTIMUM,
                                          ReplacementStrategy.OPTIMUM))
+        # a str is one token, not an iterable of one-character strategies
+        with pytest.raises(ValueError, match="strategies must be ReplacementStrategy "
+                                             "members, not the str 'optimum'"):
+            ExperimentConfig(strategies="optimum")
 
     @pytest.mark.parametrize("name, value", [
         ("iterations", 2.5), ("iterations", None), ("seed", 1.5), ("seed", "x"),

@@ -4,7 +4,7 @@ import pytest
 
 import avlkit.cli
 import avlkit.tree
-from avlkit import AvlMap
+from avlkit import AvlMap, ReplacementStrategy
 from avlkit.cli import main
 
 
@@ -61,12 +61,24 @@ class TestBenchCommand:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    def test_run_bench_runs_the_strategies_it_is_given(self, corpus_file, capsys):
+        report = avlkit.cli.run_bench(corpus_file, 1, 1,
+                                      strategies=(ReplacementStrategy.OPTIMUM,))
+        assert [row.strategy for row in report.rows] == [ReplacementStrategy.OPTIMUM]
+        assert capsys.readouterr().err == ""
+
     def test_unknown_strategy_token_is_reported(self, corpus_file, capsys):
-        assert avlkit.cli.run_bench(corpus_file, 1, 1, strategy="bogus") is None
+        # a library caller's bad strategy gets the error line, not a traceback
+        assert avlkit.cli.run_bench(corpus_file, 1, 1, strategies=("bogus",)) is None
         captured = capsys.readouterr()
-        assert captured.err == ("error: unknown strategy 'bogus': expected one of "
-                                "rightmost, leftmost, optimum, all\n")
+        assert captured.err == "error: unknown strategy: 'bogus'\n"
         assert captured.out == ""
+
+    def test_unknown_strategy_flag_rejected_by_argparse(self, corpus_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--corpus", corpus_file, "--strategy", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_flag_rejected_before_work(self, corpus_file):
         with pytest.raises(SystemExit) as exc:

@@ -86,3 +86,15 @@ def test_corpus_script_regenerates_the_bundled_corpus(tmp_path):
     run_script("make_sample_corpus.py", "--count", 10000, "--out", out)
     assert out.read_bytes() == SAMPLE_CORPUS.read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == test_acceptance.SAMPLE_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_corpus_script_refuses_a_count_below_one(tmp_path, count):
+    out = tmp_path / "words.txt"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_sample_corpus.py"), "--count", str(count),
+         "--out", str(out)],
+        capture_output=True)
+    assert result.returncode == 2
+    assert f"--count must be at least 1, got {count}" in result.stderr.decode()
+    assert not out.exists()

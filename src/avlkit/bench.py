@@ -6,11 +6,18 @@ three replacement strategies see identical shuffle sequences for a given
 (seed, iteration), so their rotation counts are directly comparable. All
 randomness flows from the configured seed through the pinned generator in
 avlkit.rng, which makes reports byte-reproducible.
+
+The trees hold each word's rank among the run's distinct words, not the
+word. An AVL tree's shape and rotations depend only on how its keys
+compare, and the ranks compare exactly as the words do, so every
+rotation and every count is the one the words would give; comparing
+small ints is just cheaper than comparing strings.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -214,11 +221,38 @@ def _words_used(corpus: Corpus, config: ExperimentConfig) -> int:
 
 
 def _experiment_words(corpus: Corpus, config: ExperimentConfig) -> list:
+    """The words a run of this config uses, in corpus or sample order.
+
+    Raises CorpusError when there are none.
+    """
     count = _words_used(corpus, config)
+    if not count:
+        raise CorpusError("experiment needs a non-empty corpus")
     words = list(corpus.words)
     if config.sample_size is not None:
         SplitMix64(derive_seed(config.seed, _SAMPLE_STREAM)).shuffle(words)
     return words[:count]
+
+
+def _ranks(words: list) -> tuple[list, list[int]]:
+    """The distinct words in ascending order, and each word's index there.
+
+    The index is the word's rank: a repeated word gets one rank, and two
+    ranks compare as their words do. That holds only if the sorted words
+    are strictly increasing under <, so each adjacent pair is checked
+    once; a pair that is not (a NaN among floats, say) raises CorpusError
+    naming it, as does a lone word that is not equal to itself. Words
+    that cannot be compared raise TypeError from the sort.
+    """
+    ordered = sorted(dict.fromkeys(words))
+    for low, high in pairwise(ordered):
+        if not low < high:
+            raise CorpusError(f"corpus words {low!r} and {high!r} are not strictly "
+                              f"ordered by <")
+    if ordered[0] != ordered[0]:
+        raise CorpusError(f"corpus word {ordered[0]!r} is not equal to itself")
+    rank = {word: i for i, word in enumerate(ordered)}
+    return ordered, [rank[word] for word in words]
 
 
 def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
@@ -228,39 +262,44 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     in one shuffled order, delete every word in another, and verify the
     tree ends empty. Shuffle orders depend only on (seed, iteration), never
     on the strategy.
+
+    The trees hold each word's rank among the run's distinct words (those
+    left after sampling), ranked once per run. Ranks compare as their words
+    do, so every comparison has the same outcome, every tree the same shape
+    and every rotation event is the one the words would give; the counts,
+    and so every report, are identical. Errors name the word, not its rank.
     """
-    words = _experiment_words(corpus, config)
-    if not words:
-        raise CorpusError("experiment needs a non-empty corpus")
+    ordered, keys = _ranks(_experiment_words(corpus, config))
     tallies = {strategy: StrategyTally(strategy, iterations=config.iterations)
                for strategy in config.strategies}
 
     for iteration in range(config.iterations):
         rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
-        insert_order = words[:]
+        insert_order = keys[:]
         rng.shuffle(insert_order)
-        delete_order = words[:]
+        delete_order = keys[:]
         rng.shuffle(delete_order)
         for strategy in config.strategies:
             record = tallies[strategy].record
             tree = AvlTree()
             insert = tree.insert
-            for word in insert_order:
-                inserted, events = insert(word)
+            for key in insert_order:
+                inserted, events = insert(key)
                 if not inserted:
-                    raise StructuralError(f"duplicate word {word!r} in corpus")
+                    raise StructuralError(f"duplicate word {ordered[key]!r} in corpus")
                 for event in events:
                     record(event)
             check = tree.validate()
             if not check.ok:
                 first = check.violations[0]
+                word = None if first.key is None else ordered[first.key]
                 raise StructuralError(
-                    f"invariant violation after insert phase: {first.kind} at {first.key!r}")
+                    f"invariant violation after insert phase: {first.kind} at {word!r}")
             delete = tree.delete
-            for word in delete_order:
-                deleted, events = delete(word, strategy)
+            for key in delete_order:
+                deleted, events = delete(key, strategy)
                 if not deleted:
-                    raise StructuralError(f"word {word!r} vanished before deletion")
+                    raise StructuralError(f"word {ordered[key]!r} vanished before deletion")
                 for event in events:
                     record(event)
             if tree.size != 0 or tree.root is not None:

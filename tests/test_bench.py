@@ -5,9 +5,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import avlkit.bench
 from avlkit import (
+    AvlTree,
     BenchmarkReport,
     Corpus,
     CorpusError,
@@ -18,7 +20,10 @@ from avlkit import (
     render_report,
     run_experiment,
 )
+from avlkit.bench import _SHUFFLE_STREAM, _experiment_words
 from avlkit.cli import main
+from avlkit.counters import StrategyTally
+from avlkit.rng import SplitMix64, derive_seed
 
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_words_10k.txt"
 
@@ -222,6 +227,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("words, error, message", [
         ((), CorpusError, "experiment needs a non-empty corpus"),
         (("w1", "w2", "w1"), StructuralError, "duplicate word 'w1' in corpus"),
+        (("b", "c", "a", "b"), StructuralError, "duplicate word 'b' in corpus"),
+        ((1.0, float("nan"), 2.0), CorpusError,
+         r"corpus words 1\.0 and nan are not strictly ordered by <"),
+        ((float("nan"),), CorpusError, "corpus word nan is not equal to itself"),
+        (("w1", 2, "w3"), TypeError,
+         "'<' not supported between instances of '(int|str)' and '(int|str)'"),
     ])
     def test_hand_built_corpus_is_checked(self, words, error, message):
         corpus = Corpus(words=words, source_path="<hand-built>",
@@ -236,7 +247,7 @@ class TestRunExperiment:
                 return super().validate()
 
         monkeypatch.setattr(avlkit.bench, "AvlTree", SkewedTree)
-        message = "^invariant violation after insert phase: balance-mismatch at "
+        message = r"^invariant violation after insert phase: balance-mismatch at 'w\d{3}'$"
         with pytest.raises(StructuralError, match=message):
             run_experiment(small_corpus, small_config())
 
@@ -250,6 +261,68 @@ class TestRunExperiment:
         monkeypatch.setattr(avlkit.bench, "AvlTree", KeepsLastWord)
         with pytest.raises(StructuralError, match="^tree not empty after delete phase$"):
             run_experiment(small_corpus, small_config())
+
+
+# distinct str keys, unsorted: mixed case, non-ASCII and shared prefixes
+distinct_words = st.lists(
+    st.builds(str.__add__, st.sampled_from(["", "ab", "Ab", "ég"]),
+              st.text(alphabet="aAbBzéÉßΩ中", max_size=4)),
+    unique=True, min_size=1, max_size=60)
+
+
+def word_keyed_report(corpus, config):
+    """run_experiment as a plain loop over the words themselves."""
+    words = _experiment_words(corpus, config)
+    tallies = [StrategyTally(strategy, iterations=config.iterations)
+               for strategy in config.strategies]
+    for iteration in range(config.iterations):
+        rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
+        insert_order, delete_order = words[:], words[:]
+        rng.shuffle(insert_order)
+        rng.shuffle(delete_order)
+        for tally in tallies:
+            tree = AvlTree()
+            for word in insert_order:
+                for event in tree.insert(word)[1]:
+                    tally.record(event)
+            assert tree.validate().ok
+            for word in delete_order:
+                for event in tree.delete(word, tally.strategy)[1]:
+                    tally.record(event)
+            assert tree.root is None
+    return BenchmarkReport(config.seed, config.iterations, corpus.sha256,
+                           config.sample_size, tallies)
+
+
+class TestWordRanks:
+    """The trees hold ranks; ranks must rotate exactly as the words do."""
+
+    @settings(max_examples=100)
+    @given(distinct_words, st.randoms(use_true_random=False))
+    def test_ranks_give_the_words_events_op_by_op(self, words, random):
+        rank = {word: i for i, word in enumerate(sorted(words))}
+        insert_order = random.sample(words, len(words))
+        delete_order = random.sample(words, len(words))
+        for strategy in ReplacementStrategy:
+            by_word, by_rank = AvlTree(), AvlTree()
+            for word in insert_order:
+                assert by_word.insert(word) == by_rank.insert(rank[word])
+            for word in delete_order:
+                assert (by_word.delete(word, strategy)
+                        == by_rank.delete(rank[word], strategy))
+
+    @pytest.mark.parametrize("sample_size", [None, 150])
+    def test_report_equals_a_word_keyed_run(self, sample_size):
+        rng = SplitMix64(7)
+        pieces = ["Zé", "zé", "ab", "Ab", "ß", "Ω", "中", "a", "É"]
+        words = sorted({"".join(pieces[rng.below(len(pieces))] for _ in range(4))
+                        for _ in range(400)})
+        rng.shuffle(words)
+        corpus = Corpus.from_words(words)
+        assert list(corpus.words) != sorted(corpus.words)
+        config = small_config(sample_size=sample_size)
+        expected = render_report(word_keyed_report(corpus, config), "json")
+        assert render_report(run_experiment(corpus, config), "json") == expected
 
 
 class TestRenderReport:

@@ -7,11 +7,12 @@ three replacement strategies see identical shuffle sequences for a given
 randomness flows from the configured seed through the pinned generator in
 avlkit.rng, which makes reports byte-reproducible.
 
-The trees hold each word's rank among the run's distinct words, not the
-word. An AVL tree's shape and rotations depend only on how its keys
-compare, and the ranks compare exactly as the words do, so every
-rotation and every count is the one the words would give; comparing
-small ints is just cheaper than comparing strings.
+The trees hold each word's rank among the run's words, not the word;
+a repeated word is refused before any tree is built. An AVL tree's shape
+and rotations depend only on how its keys compare, and the ranks compare
+exactly as the words do, so every rotation and every count is the one
+the words would give; comparing small ints is just cheaper than
+comparing strings.
 """
 
 from __future__ import annotations
@@ -235,18 +236,21 @@ def _experiment_words(corpus: Corpus, config: ExperimentConfig) -> list:
 
 
 def _ranks(words: list) -> tuple[list, list[int]]:
-    """The distinct words in ascending order, and each word's index there.
+    """The words in ascending order, and each word's index there.
 
-    The index is the word's rank: a repeated word gets one rank, and two
-    ranks compare as their words do. That holds only if the sorted words
-    are strictly increasing under <, so each adjacent pair is checked
-    once; a pair that is not (a NaN among floats, say) raises CorpusError
-    naming it, as does a lone word that is not equal to itself. Words
-    that cannot be compared raise TypeError from the sort.
+    The index is the word's rank, and two ranks compare as their words do.
+    That holds only if the sorted words are strictly increasing under <,
+    so each adjacent pair is checked once, before any tree is built: an
+    equal pair raises CorpusError naming the smallest repeated word, and
+    any other pair that is not increasing (a NaN among floats, say) raises
+    CorpusError naming both, as does a lone word that is not equal to
+    itself. Words that cannot be compared raise TypeError from the sort.
     """
-    ordered = sorted(dict.fromkeys(words))
+    ordered = sorted(words)
     for low, high in pairwise(ordered):
         if not low < high:
+            if low == high:
+                raise CorpusError(f"duplicate word {low!r} in corpus")
             raise CorpusError(f"corpus words {low!r} and {high!r} are not strictly "
                               f"ordered by <")
     if ordered[0] != ordered[0]:
@@ -263,8 +267,8 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     tree ends empty. Shuffle orders depend only on (seed, iteration), never
     on the strategy.
 
-    The trees hold each word's rank among the run's distinct words (those
-    left after sampling), ranked once per run. Ranks compare as their words
+    The trees hold each word's rank among the run's words (those left
+    after sampling), ranked once per run. Ranks compare as their words
     do, so every comparison has the same outcome, every tree the same shape
     and every rotation event is the one the words would give; the counts,
     and so every report, are identical. Errors name the word, not its rank.
@@ -286,7 +290,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
             for key in insert_order:
                 inserted, events = insert(key)
                 if not inserted:
-                    raise StructuralError(f"duplicate word {ordered[key]!r} in corpus")
+                    raise StructuralError(f"word {ordered[key]!r} was refused on insert")
                 for event in events:
                     record(event)
             check = tree.validate()

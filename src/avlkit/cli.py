@@ -175,7 +175,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

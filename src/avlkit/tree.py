@@ -74,6 +74,11 @@ class RotationEvent(NamedTuple):
 class ReplacementStrategy(Enum):
     """How a two-child deletion picks the node that fills the vacated slot.
 
+    RIGHTMOST_OF_LEFT always takes the heir from the left subtree.
+    LEFTMOST_OF_RIGHT always takes it from the right subtree.
+    OPTIMUM, the balance-guided rule, takes the taller subtree, and the
+    left one at balance 0, so that runs are reproducible.
+
     Member order is the row order of benchmark reports.
     """
 
@@ -234,17 +239,19 @@ def rotate_lr(node: Node) -> Node:
     RR on the left child, then LL on the node, through the private singles:
     a wrapper on the public names never sees the transient middle state.
     """
-    if node.left is None:
+    child = node.left
+    if child is None or child.right is None:
         raise StructuralError("LR rotation requires a left child with a right child")
-    node.left = _rotate_rr(node.left)
+    node.left = _rotate_rr(child)
     return _rotate_ll(node)
 
 
 def rotate_rl(node: Node) -> Node:
     """Mirror image of rotate_lr: the right child's left child is hoisted."""
-    if node.right is None:
+    child = node.right
+    if child is None or child.left is None:
         raise StructuralError("RL rotation requires a right child with a left child")
-    node.right = _rotate_ll(node.right)
+    node.right = _rotate_ll(child)
     return _rotate_rr(node)
 
 
@@ -261,30 +268,6 @@ _DELETE_EVENTS = tuple(RotationEvent(kind, Phase.DELETE) for kind in RotationKin
 _ABSENT = object()
 # How far below a node of each valid balance its left and right subtrees are.
 _HEIGHT_DROPS = {0: (1, 1), 1: (2, 1), -1: (1, 2)}
-
-
-def select_replacement(node: Node, strategy: ReplacementStrategy) -> Direction:
-    """Pick which subtree supplies the replacement for a two-child deletion.
-
-    The balance-guided strategy takes the taller subtree: left when the
-    node's balance is -1, right when it is +1. At balance 0 either subtree
-    would do; the left one is used so that runs are reproducible. Any
-    value other than the three members raises ValueError.
-    """
-    if node.left is None or node.right is None:
-        raise StructuralError("replacement selection requires a node with two children")
-    if strategy is _RIGHTMOST_OF_LEFT:
-        return _LEFT
-    if strategy is _LEFTMOST_OF_RIGHT:
-        return _RIGHT
-    if strategy is _OPTIMUM:
-        return _RIGHT if node.balance > 0 else _LEFT
-    raise _unknown_strategy(strategy)
-
-
-def _unknown_strategy(strategy):
-    return ValueError(f"unknown replacement strategy {strategy!r}: "
-                      f"expected a ReplacementStrategy member")
 
 
 def _relink(tree, parent, old, new):
@@ -383,14 +366,15 @@ def _locate(tree, key, strategy):
     Rejects a strategy that is not a ReplacementStrategy member before any
     comparison. Every key comparison of the deletion happens in the
     descent. A two-child node's heir is the extreme node of the subtree
-    select_replacement picks, reached by links; a node with fewer children
-    is its own heir, with direction None. Returns None for a missing key,
-    else (path, node, heir, direction), where path runs from the root to
-    the heir's parent.
+    the strategy picks (see ReplacementStrategy), reached by links; a node
+    with fewer children is its own heir, with direction None. Returns None
+    for a missing key, else (path, node, heir, direction), where path runs
+    from the root to the heir's parent.
     """
     if (strategy is not _OPTIMUM and strategy is not _RIGHTMOST_OF_LEFT
             and strategy is not _LEFTMOST_OF_RIGHT):
-        raise _unknown_strategy(strategy)
+        raise ValueError(f"unknown replacement strategy {strategy!r}: "
+                         f"expected a ReplacementStrategy member")
     node = tree.root
     path = []
     while node is not None:
@@ -408,19 +392,19 @@ def _locate(tree, key, strategy):
         return None
     if node.left is None or node.right is None:
         return path, node, node, None
-    direction = select_replacement(node, strategy)
     path.append(node)
-    if direction is _LEFT:
-        heir = node.left
-        while heir.right is not None:
-            path.append(heir)
-            heir = heir.right
-    else:
+    # the paper's rule: OPTIMUM takes the taller side, the left at balance 0
+    if strategy is _LEFTMOST_OF_RIGHT or strategy is _OPTIMUM and node.balance > 0:
         heir = node.right
         while heir.left is not None:
             path.append(heir)
             heir = heir.left
-    return path, node, heir, direction
+        return path, node, heir, _RIGHT
+    heir = node.left
+    while heir.right is not None:
+        path.append(heir)
+        heir = heir.right
+    return path, node, heir, _LEFT
 
 
 def _delete(tree, key, strategy, events, trace):

@@ -23,7 +23,7 @@ PUBLIC = {
 MODULE_ONLY = [
     ("avlkit.tree", name) for name in (
         "Node", "rotate_ll", "rotate_lr", "rotate_rl", "rotate_rr",
-        "select_replacement", "ValidationReport", "Violation")
+        "ValidationReport", "Violation")
 ] + [
     ("avlkit.counters", name) for name in (
         "RotationCounters", "StrategyTally", "PercentageRow", "percentage_row")

@@ -226,8 +226,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("words, error, message", [
         ((), CorpusError, "experiment needs a non-empty corpus"),
-        (("w1", "w2", "w1"), StructuralError, "duplicate word 'w1' in corpus"),
-        (("b", "c", "a", "b"), StructuralError, "duplicate word 'b' in corpus"),
+        (("w1", "w2", "w1"), CorpusError, "duplicate word 'w1' in corpus"),
+        (("b", "c", "a", "b"), CorpusError, "duplicate word 'b' in corpus"),
         ((1.0, float("nan"), 2.0), CorpusError,
          r"corpus words 1\.0 and nan are not strictly ordered by <"),
         ((float("nan"),), CorpusError, "corpus word nan is not equal to itself"),
@@ -239,6 +239,15 @@ class TestRunExperiment:
                         original_count=len(words), sha256="")
         with pytest.raises(error, match=f"^{message}$"):
             run_experiment(corpus, small_config())
+
+    def test_refused_insert_aborts(self, monkeypatch):
+        class RefusingTree(avlkit.bench.AvlTree):
+            def insert(self, key):
+                return False, []  # refuses every key, as if already present
+
+        monkeypatch.setattr(avlkit.bench, "AvlTree", RefusingTree)
+        with pytest.raises(StructuralError, match="^word 'solo' was refused on insert$"):
+            run_experiment(Corpus.from_words(["solo"]), small_config())
 
     def test_invalid_tree_after_insert_phase_aborts(self, small_corpus, monkeypatch):
         class SkewedTree(avlkit.bench.AvlTree):

@@ -181,13 +181,15 @@ class TestDoubleRotations:
     def test_lr_missing_links_raise(self):
         with pytest.raises(StructuralError):
             rotate_lr(leaf(1))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError,
+                           match="^LR rotation requires a left child with a right child$"):
             rotate_lr(build(2, left=leaf(1), balance=-1))
 
     def test_rl_missing_links_raise(self):
         with pytest.raises(StructuralError):
             rotate_rl(leaf(1))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError,
+                           match="^RL rotation requires a right child with a left child$"):
             rotate_rl(build(1, right=leaf(2), balance=1))
 
 

@@ -20,7 +20,7 @@ from avlkit import (
 )
 from avlkit.rng import SplitMix64
 import avlkit.tree as tree_mod
-from avlkit.tree import Node, _sound, select_replacement
+from avlkit.tree import Node, _sound
 
 from reference import (
     all_nodes,
@@ -255,50 +255,10 @@ class TestStoredNone:
         assert_tree_sane(tree, "after duplicate insert")
 
 
-class TestSelectReplacement:
-    def test_fixed_strategies_ignore_balance(self):
-        for balance in (-1, 0, 1):
-            node = Node(2)
-            node.left = Node(1)
-            node.right = Node(3)
-            node.balance = balance
-            assert select_replacement(node, RIGHTMOST) is Direction.LEFT
-            assert select_replacement(node, LEFTMOST) is Direction.RIGHT
-
-    def test_optimum_follows_taller_subtree(self):
-        node = Node(2)
-        node.left = Node(1)
-        node.right = Node(3)
-        node.balance = -1
-        assert select_replacement(node, OPTIMUM) is Direction.LEFT
-        node.balance = 1
-        assert select_replacement(node, OPTIMUM) is Direction.RIGHT
-        node.balance = 0
-        assert select_replacement(node, OPTIMUM) is Direction.LEFT  # fixed tie-break
-
-    def test_requires_two_children(self):
-        node = Node(2)
-        node.left = Node(1)
-        with pytest.raises(StructuralError):
-            select_replacement(node, OPTIMUM)
-        node.left, node.right = None, Node(3)
-        with pytest.raises(StructuralError):
-            select_replacement(node, OPTIMUM)
-
-    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, Direction.LEFT])
-    def test_unknown_strategy_raises(self, strategy):
-        node = Node(2)
-        node.left = Node(1)
-        node.right = Node(3)
-        message = re.escape(f"unknown replacement strategy {strategy!r}")
-        with pytest.raises(ValueError, match=message):
-            select_replacement(node, strategy)
-
-
 class TestUnknownStrategy:
     """A strategy that is not a ReplacementStrategy member is refused before the descent."""
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, 1])
+    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, 1, Direction.LEFT])
     @pytest.mark.parametrize("key", [4, 1, 99])  # two children, a leaf, absent
     def test_delete_and_pop_leave_the_tree_unchanged(self, strategy, key):
         tree = AvlTree([4, 2, 6, 1, 3, 5, 7])
@@ -944,3 +904,36 @@ class TestPairwiseRotationComparison:
         assert len(base_events) == 0  # predecessor removal is absorbed at node 2
         assert_tree_sane(optimum_copy, "counterexample optimum")
         assert_tree_sane(baseline_copy, "counterexample baseline")
+
+
+class TestExtremesOnlyTeardown:
+    """The minimum and the maximum never have two children, so a teardown
+    that only deletes the current extreme never consults the heir rule:
+    every strategy must rotate alike."""
+
+    @pytest.mark.parametrize("order", ["min", "max", "alternate"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_strategy_gives_the_same_events(self, seed, order):
+        keys = list(range(1000))
+        SplitMix64(seed).shuffle(keys)
+        ascending = sorted(keys)
+        doomed = {
+            "min": ascending,
+            "max": ascending[::-1],
+            "alternate": [ascending[i // 2] if i % 2 == 0 else ascending[-1 - i // 2]
+                          for i in range(len(ascending))],
+        }[order]
+        runs = []
+        for strategy in ReplacementStrategy:
+            tree = AvlTree(keys)
+            trace = DeletionTrace()
+            events = []
+            for key in doomed:
+                deleted, delete_events = tree.delete(key, strategy, trace)
+                assert deleted
+                assert trace.two_child is False
+                events.append(delete_events)
+            assert tree.size == 0
+            runs.append(events)
+        assert any(runs[0])  # the teardown does rotate
+        assert runs[0] == runs[1] == runs[2]

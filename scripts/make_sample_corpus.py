@@ -38,8 +38,8 @@ def pseudo_word(rng: SplitMix64) -> str:
     return "".join(parts)
 
 
-def generate(count: int, seed: int = GENERATOR_SEED) -> list[str]:
-    rng = SplitMix64(seed)
+def generate(count: int) -> list[str]:
+    rng = SplitMix64(GENERATOR_SEED)
     words: set[str] = set()
     while len(words) < count:
         words.add(pseudo_word(rng))
@@ -50,11 +50,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=10_000)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=GENERATOR_SEED)
     args = parser.parse_args()
     if args.count < 1:
         parser.error(f"--count must be at least 1, got {args.count}")
-    words = generate(args.count, args.seed)
+    words = generate(args.count)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(words) + "\n", encoding="utf-8")
     print(f"wrote {len(words)} words to {args.out}")

@@ -5,7 +5,9 @@ a second shuffled order, tallying every rotation by kind and phase. The
 three replacement strategies see identical shuffle sequences for a given
 (seed, iteration), so their rotation counts are directly comparable. All
 randomness flows from the configured seed through the pinned generator in
-avlkit.rng, which makes reports byte-reproducible.
+avlkit.rng, which makes reports byte-reproducible. A report stores
+the totals and the iteration count once; every average, in every
+rendering, is derived from them.
 
 The trees hold each word's rank among the run's words, not the word;
 a repeated word is refused before any tree is built. An AVL tree's shape
@@ -22,7 +24,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .counters import PercentageRow, StrategyTally, percentage_row
+from .counters import PercentageRow, RotationCounters, StrategyTally, percentage_row
 from .rng import SplitMix64, derive_seed
 from .tree import AvlTree, ReplacementStrategy, StructuralError, _FrozenRecord, _Record
 
@@ -67,21 +69,27 @@ class Corpus(_FrozenRecord):
 
 
 def _parse_corpus(raw: bytes, source) -> Corpus:
-    """Fingerprint UTF-8 bytes, then trim, drop blanks and drop duplicates.
+    """Fingerprint UTF-8 bytes, split them into lines, then trim, drop
+    blanks and drop duplicates.
 
-    A leading byte-order mark is dropped before the split, but the
-    fingerprint is of the raw bytes, mark included. Duplicates keep their
-    first occurrence. Raises CorpusError, naming the source, when the
-    bytes are not UTF-8 or no word is left.
+    Lines end only where bytes.splitlines() ends them, at \\r\\n, \\r or
+    \\n: the other Unicode line boundaries (U+0085, U+2028, \\f, ...) stay
+    inside a word. A leading byte-order mark is dropped before the split,
+    but the fingerprint is of the raw bytes, mark included. Duplicates
+    keep their first occurrence. Raises CorpusError, naming the source,
+    when the bytes are not UTF-8 or no word is left.
     """
     import hashlib  # here, not at the top: it loads OpenSSL, and only a corpus needs it
 
     digest = hashlib.sha256(raw).hexdigest()
     try:
         # not the "utf-8-sig" codec: loading it adds about 0.2 MB to a run's peak RSS
-        lines = raw.decode("utf-8").removeprefix("\ufeff").splitlines()
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"corpus {source} is not valid UTF-8: {exc}") from exc
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line break ends a line; it does not start one
     words: list[str] = []
     seen: set[str] = set()
     for line in lines:
@@ -144,7 +152,12 @@ class ExperimentConfig(_FrozenRecord):
 
 
 class BenchmarkReport(_Record):
-    """Per-strategy rotation totals; averages and percentages are derived."""
+    """Per-strategy rotation totals; averages and percentages are derived.
+
+    Every average is a row's totals divided by the report's iterations,
+    the one count they are taken over. to_dict and from_dict write and
+    read the whole json schema, rows included.
+    """
 
     __slots__ = ("seed", "iterations", "corpus_sha256", "sample_size", "rows")
 
@@ -174,7 +187,8 @@ class BenchmarkReport(_Record):
         """
         if not self._ran_all_strategies():
             return None
-        average = {row.strategy: row.delete_average for row in self.rows}
+        average = {row.strategy: row.delete_totals.averaged(self.iterations)
+                   for row in self.rows}
         try:
             return percentage_row(average[ReplacementStrategy.OPTIMUM],
                                   average[ReplacementStrategy.RIGHTMOST_OF_LEFT],
@@ -183,6 +197,10 @@ class BenchmarkReport(_Record):
             return None  # tiny corpora can produce zero-rotation baselines
 
     def to_dict(self) -> dict:
+        def phase(totals):
+            return {"totals": totals.as_dict(),
+                    "averages": totals.averaged(self.iterations).as_dict()}
+
         percentages = self.percentages
         return {
             "config": {
@@ -191,21 +209,26 @@ class BenchmarkReport(_Record):
                 "corpus_sha256": self.corpus_sha256,
                 "sample_size": self.sample_size,
             },
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": [{"strategy": row.strategy.value,
+                      "insert": phase(row.insert_totals),
+                      "delete": phase(row.delete_totals)} for row in self.rows],
             "percentages": None if percentages is None else percentages.as_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkReport":
         """Inverse of to_dict; averages and percentages are derived again, not read."""
+
+        def totals(phase):
+            block = phase["totals"]
+            return RotationCounters(block["ll"], block["lr"], block["rl"], block["rr"])
+
         config = data["config"]
-        return cls(
-            seed=config["seed"],
-            iterations=config["iterations"],
-            corpus_sha256=config["corpus_sha256"],
-            sample_size=config["sample_size"],
-            rows=[StrategyTally.from_dict(row, config["iterations"]) for row in data["rows"]],
-        )
+        rows = [StrategyTally(ReplacementStrategy(row["strategy"]),
+                              totals(row["insert"]), totals(row["delete"]))
+                for row in data["rows"]]
+        return cls(config["seed"], config["iterations"], config["corpus_sha256"],
+                   config["sample_size"], rows)
 
 
 def _words_used(corpus: Corpus, config: ExperimentConfig) -> int:
@@ -274,8 +297,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     and so every report, are identical. Errors name the word, not its rank.
     """
     ordered, keys = _ranks(_experiment_words(corpus, config))
-    tallies = {strategy: StrategyTally(strategy, iterations=config.iterations)
-               for strategy in config.strategies}
+    tallies = {strategy: StrategyTally(strategy) for strategy in config.strategies}
 
     for iteration in range(config.iterations):
         rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
@@ -346,7 +368,8 @@ def _delete_rows(report: BenchmarkReport, percentage_label: str):
     all three strategies ran but the percentage row is missing, a note
     says why.
     """
-    rows = [(_ROW_LABELS[row.strategy], row.delete_average.as_dict().values())
+    rows = [(_ROW_LABELS[row.strategy],
+             row.delete_totals.averaged(report.iterations).as_dict().values())
             for row in report.rows]
     notes = []
     percentages = report.percentages

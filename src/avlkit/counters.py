@@ -1,4 +1,8 @@
-"""Rotation-event tallying and aggregation."""
+"""Rotation-event tallies and the percentage comparison row.
+
+Averages and the json schema belong to avlkit.bench.BenchmarkReport,
+which holds the tallies.
+"""
 
 from __future__ import annotations
 
@@ -58,17 +62,16 @@ class RotationCounters(_Record):
 class StrategyTally(_Record):
     """One strategy's rotation totals, split by operation phase.
 
-    Only totals are stored; the per-iteration averages are derived from them.
-    A tally given no totals starts its own at zero.
+    A tally holds counts only: the BenchmarkReport that holds it derives
+    the averages. A tally given no totals starts its own at zero.
     """
 
-    __slots__ = ("strategy", "iterations", "insert_totals", "delete_totals")
+    __slots__ = ("strategy", "insert_totals", "delete_totals")
 
-    def __init__(self, strategy: ReplacementStrategy, iterations: int = 0,
+    def __init__(self, strategy: ReplacementStrategy,
                  insert_totals: Optional[RotationCounters] = None,
                  delete_totals: Optional[RotationCounters] = None):
         self.strategy = strategy
-        self.iterations = iterations
         self.insert_totals = RotationCounters() if insert_totals is None else insert_totals
         self.delete_totals = RotationCounters() if delete_totals is None else delete_totals
 
@@ -85,30 +88,6 @@ class StrategyTally(_Record):
             self.insert_totals.bump(event.kind)
         else:
             raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
-
-    @property
-    def delete_average(self) -> RotationCounters:
-        return self.delete_totals.averaged(self.iterations)
-
-    def to_dict(self) -> dict:
-        def phase(totals):
-            return {"totals": totals.as_dict(),
-                    "averages": totals.averaged(self.iterations).as_dict()}
-
-        return {"strategy": self.strategy.value,
-                "insert": phase(self.insert_totals),
-                "delete": phase(self.delete_totals)}
-
-    @classmethod
-    def from_dict(cls, data: dict, iterations: int) -> "StrategyTally":
-        """Inverse of to_dict; the averages are derived again, not read."""
-
-        def totals(phase):
-            block = data[phase]["totals"]
-            return RotationCounters(block["ll"], block["lr"], block["rl"], block["rr"])
-
-        return cls(ReplacementStrategy(data["strategy"]), iterations,
-                   totals("insert"), totals("delete"))
 
 
 class PercentageRow(_Record):

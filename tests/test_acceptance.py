@@ -107,6 +107,8 @@ def test_criterion_2_exhaustive_rotation_oracle(monkeypatch):
             signature = shape_signature(tree.root)
             if signature not in shapes:
                 shapes[signature] = tree
+    # the wrapper must have seen the rotations that built the shapes
+    assert checked["rotations"] > 0
     deletions = 0
     delete_rotations = 0
     kinds_seen = set()
@@ -114,8 +116,11 @@ def test_criterion_2_exhaustive_rotation_oracle(monkeypatch):
         for key in tree.in_order():
             for strategy in STRATEGIES:
                 copy = tree.clone()
+                before = checked["rotations"]
                 deleted, events = copy.delete(key, strategy)
                 assert deleted
+                # every rotation the deletion reports went through the oracle
+                assert checked["rotations"] - before == len(events), (key, strategy, events)
                 deletions += 1
                 delete_rotations += len(events)
                 kinds_seen.update(e.kind for e in events)
@@ -201,9 +206,12 @@ def test_criterion_5_desk_scale_percentages():
     assert optimum < baseline_a
     assert optimum < baseline_b
     # column-wise: at this scale the strategy wins every column, not just the sum
-    opt_avg = report.row_for(ReplacementStrategy.OPTIMUM).delete_average
-    a_avg = report.row_for(ReplacementStrategy.RIGHTMOST_OF_LEFT).delete_average
-    b_avg = report.row_for(ReplacementStrategy.LEFTMOST_OF_RIGHT).delete_average
+    def average(strategy):
+        return report.row_for(strategy).delete_totals.averaged(report.iterations)
+
+    opt_avg = average(ReplacementStrategy.OPTIMUM)
+    a_avg = average(ReplacementStrategy.RIGHTMOST_OF_LEFT)
+    b_avg = average(ReplacementStrategy.LEFTMOST_OF_RIGHT)
     for column in ("ll", "lr", "rl", "rr"):
         assert getattr(opt_avg, column) <= max(getattr(a_avg, column),
                                                getattr(b_avg, column))

@@ -14,7 +14,10 @@ from avlkit import (
     Corpus,
     CorpusError,
     ExperimentConfig,
+    Phase,
     ReplacementStrategy,
+    RotationEvent,
+    RotationKind,
     StructuralError,
     load_corpus,
     render_report,
@@ -88,6 +91,19 @@ class TestLoadCorpus:
         assert with_mark.original_count == without.original_count == 3
         assert with_mark.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest()
         assert with_mark.sha256 != without.sha256
+
+    @pytest.mark.parametrize("boundary", ["\x85", "\u2028", "\u2029", "\f", "\v",
+                                          "\x1c", "\x1d", "\x1e"])
+    def test_only_cr_and_lf_end_a_line(self, tmp_path, boundary):
+        word = f"al{boundary}pha"
+        path = tmp_path / "words.txt"
+        path.write_bytes(f"{word}\r\nbeta\rgamma\n".encode("utf-8"))
+        from_file = load_corpus(path)
+        assert from_file.words == (word, "beta", "gamma")
+        assert from_file.original_count == 3
+        from_memory = Corpus.from_words([word, "beta"])
+        assert from_memory.words == (word, "beta")
+        assert from_memory.original_count == 2
 
     def test_non_utf8_file_rejected_with_its_name(self, tmp_path):
         path = tmp_path / "latin1.txt"
@@ -167,10 +183,13 @@ class TestRunExperiment:
     def test_averages_are_totals_over_iterations(self, small_corpus):
         config = small_config()
         report = run_experiment(small_corpus, config)
-        for row in report.rows:
-            assert row.delete_average.ll == row.delete_totals.ll / config.iterations
-            assert row.delete_average.sum == pytest.approx(
-                row.delete_totals.sum / config.iterations)
+        rows = json.loads(render_report(report, "json"))["rows"]
+        csv_rows = render_report(report, "csv").splitlines()[2:]
+        for row, data, line in zip(report.rows, rows, csv_rows):
+            averages = data["delete"]["averages"]
+            assert averages["ll"] == row.delete_totals.ll / config.iterations
+            assert averages["sum"] == pytest.approx(row.delete_totals.sum / config.iterations)
+            assert float(line.split(",")[1]) == averages["ll"]
 
     def test_identical_config_gives_identical_reports(self, small_corpus):
         a = run_experiment(small_corpus, small_config())
@@ -282,8 +301,7 @@ distinct_words = st.lists(
 def word_keyed_report(corpus, config):
     """run_experiment as a plain loop over the words themselves."""
     words = _experiment_words(corpus, config)
-    tallies = [StrategyTally(strategy, iterations=config.iterations)
-               for strategy in config.strategies]
+    tallies = [StrategyTally(strategy) for strategy in config.strategies]
     for iteration in range(config.iterations):
         rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
         insert_order, delete_order = words[:], words[:]
@@ -346,6 +364,29 @@ class TestRenderReport:
         report = run_experiment(small_corpus, small_config())
         parsed = BenchmarkReport.from_dict(json.loads(render_report(report, "json")))
         assert parsed == report
+
+    def test_report_of_fresh_tallies_averages_over_its_own_iterations(self):
+        tallies = [StrategyTally(strategy) for strategy in ReplacementStrategy]
+        for i, tally in enumerate(tallies):
+            for kind in RotationKind:
+                for _ in range(4 + i):
+                    tally.record(RotationEvent(kind, Phase.DELETE))
+            tally.record(RotationEvent(RotationKind.LR, Phase.INSERT))
+        report = BenchmarkReport(3, 4, "ab" * 32, None, tallies)
+        data = json.loads(render_report(report, "json"))
+        for tally, row in zip(tallies, data["rows"]):
+            for phase, totals in (("insert", tally.insert_totals),
+                                  ("delete", tally.delete_totals)):
+                assert row[phase]["averages"] == {kind: value / 4 for kind, value
+                                                  in totals.as_dict().items()}
+        assert data["percentages"]["sum"] == pytest.approx(100 * 6 / 4.5)
+        # the first row's deletions: 4 of each kind over 4 iterations
+        assert render_report(report, "table").splitlines()[2].split()[-5:] == [
+            "1", "1", "1", "1", "4"]
+        parsed = BenchmarkReport.from_dict(data)
+        assert parsed == report
+        for fmt in ("table", "csv", "json"):
+            assert render_report(parsed, fmt) == render_report(report, fmt), fmt
 
     def test_json_config_schema(self, small_corpus):
         report = run_experiment(small_corpus, small_config())

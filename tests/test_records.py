@@ -30,9 +30,9 @@ RECORDS = [
     (DeletionTrace, ("two_child", "node_balance", "direction", "replacement_key"),
      (True, -1, Direction.LEFT, "k"), (False, None, None, None), False),
     (RotationCounters, ("ll", "lr", "rl", "rr"), (1, 2, 3, 4), (0, 0, 0, 0), False),
-    (StrategyTally, ("strategy", "iterations", "insert_totals", "delete_totals"),
-     (OPTIMUM, 5, RotationCounters(1, 2, 3, 4), RotationCounters(5, 6, 7, 8)),
-     (0, RotationCounters(), RotationCounters()), False),
+    (StrategyTally, ("strategy", "insert_totals", "delete_totals"),
+     (OPTIMUM, RotationCounters(1, 2, 3, 4), RotationCounters(5, 6, 7, 8)),
+     (RotationCounters(), RotationCounters()), False),
     (PercentageRow, ("ll", "lr", "rl", "rr", "sum"),
      (90.0, 80.5, 70.25, 60.0, 75.0), (), False),
     (Corpus, ("words", "source_path", "original_count", "sha256"),
@@ -40,7 +40,7 @@ RECORDS = [
     (ExperimentConfig, ("iterations", "seed", "strategies", "sample_size"),
      (3, 7, (OPTIMUM,), 10), (100, 1, tuple(ReplacementStrategy), None), True),
     (BenchmarkReport, ("seed", "iterations", "corpus_sha256", "sample_size", "rows"),
-     (7, 3, DIGEST, None, [StrategyTally(OPTIMUM, 3)]), (), False),
+     (7, 3, DIGEST, None, [StrategyTally(OPTIMUM)]), (), False),
 ]
 IDS = [record[0].__name__ for record in RECORDS]
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avlkit import (
     AvlMap,
@@ -83,6 +83,9 @@ def test_mixed_ops_keep_every_invariant(ops):
 @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "pop"]),
                           st.integers(min_value=0, max_value=15),
                           st.sampled_from(STRATEGIES)), max_size=200))
+# OPTIMUM at a balance-0 two-child node, which random ops rarely reach
+@example([(action, key, ReplacementStrategy.OPTIMUM)
+          for action, key in [("insert", 2), ("insert", 1), ("insert", 3), ("delete", 2)]])
 def test_trace_reports_the_heir_the_strategy_takes(ops):
     """Every DeletionTrace field, for all three strategies, against the tree
     as it stood before the call: a two-child node's balance, the side the

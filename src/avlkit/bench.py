@@ -19,6 +19,7 @@ comparing strings.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import pairwise
 from pathlib import Path
@@ -295,41 +296,62 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     do, so every comparison has the same outcome, every tree the same shape
     and every rotation event is the one the words would give; the counts,
     and so every report, are identical. Errors name the word, not its rank.
-    """
-    ordered, keys = _ranks(_experiment_words(corpus, config))
-    tallies = {strategy: StrategyTally(strategy) for strategy in config.strategies}
 
-    for iteration in range(config.iterations):
-        rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
-        insert_order = keys[:]
-        rng.shuffle(insert_order)
-        delete_order = keys[:]
-        rng.shuffle(delete_order)
-        for strategy in config.strategies:
-            record = tallies[strategy].record
-            tree = AvlTree()
-            insert = tree.insert
-            for key in insert_order:
-                inserted, events = insert(key)
-                if not inserted:
-                    raise StructuralError(f"word {ordered[key]!r} was refused on insert")
-                for event in events:
-                    record(event)
-            check = tree.validate()
-            if not check.ok:
-                first = check.violations[0]
-                word = None if first.key is None else ordered[first.key]
-                raise StructuralError(
-                    f"invariant violation after insert phase: {first.kind} at {word!r}")
-            delete = tree.delete
-            for key in delete_order:
-                deleted, events = delete(key, strategy)
-                if not deleted:
-                    raise StructuralError(f"word {ordered[key]!r} vanished before deletion")
-                for event in events:
-                    record(event)
-            if tree.size != 0 or tree.root is not None:
-                raise StructuralError("tree not empty after delete phase")
+    Each build's and each teardown's rotation events are kept in one list
+    and tallied in one StrategyTally.record_all call.
+
+    The run pauses the cyclic garbage collector: the trees and the report
+    hold no reference cycles, so only the collector's passes over every
+    live node would be lost. The pause is process-wide, so while a run is
+    in progress no thread of the process collects cycles. On return, or on
+    an error, the collector is enabled again only if it was enabled on
+    entry.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ordered, keys = _ranks(_experiment_words(corpus, config))
+        tallies = {strategy: StrategyTally(strategy) for strategy in config.strategies}
+        kept: list = []  # one build's or one teardown's events
+        keep = kept.extend
+        for iteration in range(config.iterations):
+            rng = SplitMix64(derive_seed(config.seed, _SHUFFLE_STREAM, iteration))
+            insert_order = keys[:]
+            rng.shuffle(insert_order)
+            delete_order = keys[:]
+            rng.shuffle(delete_order)
+            for strategy in config.strategies:
+                tally = tallies[strategy]
+                tree = AvlTree()
+                insert = tree.insert
+                for key in insert_order:
+                    inserted, events = insert(key)
+                    if not inserted:
+                        raise StructuralError(f"word {ordered[key]!r} was refused on insert")
+                    if events:
+                        keep(events)
+                tally.record_all(kept)
+                kept.clear()
+                check = tree.validate()
+                if not check.ok:
+                    first = check.violations[0]
+                    word = None if first.key is None else ordered[first.key]
+                    raise StructuralError(
+                        f"invariant violation after insert phase: {first.kind} at {word!r}")
+                delete = tree.delete
+                for key in delete_order:
+                    deleted, events = delete(key, strategy)
+                    if not deleted:
+                        raise StructuralError(f"word {ordered[key]!r} vanished before deletion")
+                    if events:
+                        keep(events)
+                tally.record_all(kept)
+                kept.clear()
+                if tree.size != 0 or tree.root is not None:
+                    raise StructuralError("tree not empty after delete phase")
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     return BenchmarkReport(
         seed=config.seed,

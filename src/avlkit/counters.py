@@ -6,9 +6,11 @@ which holds the tallies.
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from typing import Iterable, Optional
 
-from .tree import Phase, ReplacementStrategy, RotationEvent, RotationKind, _Record
+from .tree import (_DELETE_EVENTS, _INSERT_EVENTS, Phase, ReplacementStrategy, RotationEvent,
+                   RotationKind, _Record)
 
 # Bound once: looking an enum member up on its class costs more than a bump.
 _LL = RotationKind.LL
@@ -17,6 +19,11 @@ _RL = RotationKind.RL
 _RR = RotationKind.RR
 _INSERT = Phase.INSERT
 _DELETE = Phase.DELETE
+# The tree's eight shared events by identity: whether each is a deletion's,
+# and its kind's counter. They live as long as the tree module, so no other
+# live object can have one of these ids.
+_SHARED = {id(event): (event.phase is _DELETE, event.kind.name.lower())
+           for event in _INSERT_EVENTS + _DELETE_EVENTS}
 
 
 class RotationCounters(_Record):
@@ -88,6 +95,40 @@ class StrategyTally(_Record):
             self.insert_totals.bump(event.kind)
         else:
             raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
+
+    def record_all(self, events: Iterable[RotationEvent]) -> None:
+        """Record every event, with the totals record would give one by one.
+
+        The events are counted by identity in one pass that makes no Python
+        call per event: the tree's mutations hand out eight shared events,
+        one per kind and phase. An event that is only equal to one of them
+        is counted as that one; a kind or phase that is not an enum member
+        raises ValueError, as record does. Every event is counted before
+        any total changes, so events that raise leave the tally as it was.
+        """
+        events = list(events)
+        counts = Counter(map(id, events))
+        if not counts.keys() <= _SHARED.keys():
+            counts = Counter(id(_shared_twin(event)) for event in events)
+        for event_id, count in counts.items():
+            is_delete, name = _SHARED[event_id]
+            totals = self.delete_totals if is_delete else self.insert_totals
+            setattr(totals, name, getattr(totals, name) + count)
+
+
+def _shared_twin(event: RotationEvent) -> RotationEvent:
+    """The tree's shared event of event's kind and phase; ValueError if there is none."""
+    phase = event.phase
+    if phase is _DELETE:
+        twins = _DELETE_EVENTS
+    elif phase is _INSERT:
+        twins = _INSERT_EVENTS
+    else:
+        raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
+    for twin in twins:
+        if twin.kind is event.kind:
+            return twin
+    raise ValueError(f"unknown rotation kind {event.kind!r}: expected a RotationKind member")
 
 
 class PercentageRow(_Record):

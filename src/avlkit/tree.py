@@ -21,11 +21,14 @@ Insert and delete are loops over the kept path of nodes from the root:
 every key comparison happens on the way down, before anything changes.
 A deletion has two phases. The read phase, _locate, finds the node, its
 heir and the path, and writes nothing. The write phase moves the heir's
-key and value into the node, splices the heir out and retraces. _relink
-hangs a subtree where another hung, under its parent or as the root: it
-makes that splice, and it hangs every rotated subtree. A key that is not
-equal to itself (NaN) is never stored and never matched; a deletion
-strategy that is not a ReplacementStrategy member raises ValueError.
+key and value into the node, splices the heir out and retraces. The
+splice is written inline, since its one link test also gives the
+retrace's first step; _relink hangs every rotated subtree where the
+rotated node hung. Both retraces count an index down the path: most
+climbs stop within a few levels, where building a range costs more
+than the climb. A key that is not equal to itself (NaN) is never stored
+and never matched; a deletion strategy that is not a ReplacementStrategy
+member raises ValueError.
 
 No walk uses recursion, and every walk that returns nodes puts each node
 it reaches into an identity set and raises StructuralError naming the
@@ -273,8 +276,9 @@ _HEIGHT_DROPS = {0: (1, 1), 1: (2, 1), -1: (1, 2)}
 def _relink(tree, parent, old, new):
     """Hang new where old hung: under parent, or as the root if parent is None.
 
-    A deletion's splice and _rebalance's reattach both go through it, so
-    neither writes that link itself.
+    _rebalance's reattach goes through it. A deletion's splice writes its
+    link inline instead, because the same test sets the retrace's first
+    step.
     """
     if parent is None:
         tree.root = new
@@ -346,7 +350,9 @@ def _insert(tree, key, value, overwrite, events):
         candidate.right = node
     else:
         path[-1].left = node
-    for i in range(len(path) - 1, -1, -1):
+    i = len(path)
+    while i:  # a countdown: most climbs stop within a few levels
+        i -= 1
         parent = path[i]
         step = -1 if parent.left is node else 1
         balance = parent.balance + step
@@ -413,9 +419,11 @@ def _delete(tree, key, strategy, events, trace):
     _locate is the read phase. After it, trace, if one is given, gets
     every field rewritten from _locate's result: the defaults for a missing
     key or a node with fewer than two children. The write phase moves the
-    heir's key and value into the node and splices the heir out with
-    _relink. Retracing then climbs the path and stops once a subtree's
-    height is unchanged.
+    heir's key and value into the node and splices the heir out: a root
+    with at most one child is replaced by that child and nothing is
+    retraced; otherwise one test of the heir's side writes the parent's
+    link and sets the first step. Retracing then climbs the path and stops
+    once a subtree's height is unchanged.
     """
     located = _locate(tree, key, strategy)
     if located is None:
@@ -432,10 +440,20 @@ def _delete(tree, key, strategy, events, trace):
     elif trace is not None:
         trace.__init__()
     tree.size -= 1
-    parent = path[-1] if path else None
-    step = 1 if parent is not None and parent.left is heir else -1
-    _relink(tree, parent, heir, heir.right if heir.left is None else heir.left)
-    for i in range(len(path) - 1, -1, -1):
+    child = heir.right if heir.left is None else heir.left
+    i = len(path)
+    if not i:  # the root, with at most one child: nothing to retrace
+        tree.root = child
+        return value
+    parent = path[-1]
+    if parent.left is heir:
+        parent.left = child
+        step = 1
+    else:
+        parent.right = child
+        step = -1
+    while i:
+        i -= 1
         node = path[i]
         balance = node.balance + step
         node.balance = balance

@@ -1,13 +1,20 @@
 """Benchmark harness: corpus loading, experiment runs, report rendering."""
 
+import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import avlkit.bench
+import avlkit.cli
+import avlkit.counters
+import avlkit.map
+import avlkit.rng
+import avlkit.tree
 from avlkit import (
     AvlTree,
     BenchmarkReport,
@@ -289,6 +296,108 @@ class TestRunExperiment:
         monkeypatch.setattr(avlkit.bench, "AvlTree", KeepsLastWord)
         with pytest.raises(StructuralError, match="^tree not empty after delete phase$"):
             run_experiment(small_corpus, small_config())
+
+
+def set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def gc_restored():
+    """Whatever a test does to cyclic GC, put it back as it was."""
+    was_enabled = gc.isenabled()
+    yield
+    set_gc(was_enabled)
+
+
+class TestGcPause:
+    """run_experiment pauses cyclic GC and hands the caller's state back."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_run_pauses_gc_and_restores_it(self, small_corpus, monkeypatch, gc_restored,
+                                             enabled):
+        seen = []
+
+        class WatchingTree(avlkit.bench.AvlTree):
+            def validate(self):
+                seen.append(gc.isenabled())
+                return super().validate()
+
+        monkeypatch.setattr(avlkit.bench, "AvlTree", WatchingTree)
+        set_gc(enabled)
+        run_experiment(small_corpus, small_config())
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_run_that_raises_restores_gc(self, small_corpus, monkeypatch, gc_restored,
+                                           enabled):
+        class LyingTree(avlkit.bench.AvlTree):
+            def delete(self, key, strategy=None, trace=None):
+                return False, []
+
+        monkeypatch.setattr(avlkit.bench, "AvlTree", LyingTree)
+        set_gc(enabled)
+        with pytest.raises(StructuralError):
+            run_experiment(small_corpus, small_config())
+        assert gc.isenabled() is enabled
+
+
+# Every name perfbench/tracer.py wraps, by the module it looks the owner up in.
+TRACED_NAMES = [
+    (avlkit.tree, "AvlTree", ("insert", "put", "delete", "pop", "get", "search",
+                              "validate", "clone", "__init__")),
+    (avlkit.map, "AvlMap", ("get", "__contains__", "insert", "delete")),
+    (avlkit.counters, "StrategyTally", ("record",)),
+    (avlkit.rng, "SplitMix64", ("shuffle",)),
+]
+TRACED_FUNCTIONS = ("run_experiment", "load_corpus", "render_report")
+
+
+class TestTracedContract:
+    """What the benchmark's traced run relies on: the names it wraps, and a
+    run's calls through them, which it counts to check rotations and builds."""
+
+    @pytest.mark.parametrize("module, owner, names", TRACED_NAMES)
+    def test_each_wrapped_method_is_in_its_class_dict(self, module, owner, names):
+        cls = vars(module)[owner]
+        for name in names:
+            assert callable(vars(cls)[name]), name
+
+    def test_cli_holds_the_bench_functions_themselves(self):
+        for name in TRACED_FUNCTIONS:
+            assert vars(avlkit.cli)[name] is vars(avlkit.bench)[name], name
+        assert callable(vars(avlkit.cli)["main"])
+
+    def test_a_run_inserts_and_deletes_each_word_once_per_strategy(self, monkeypatch):
+        words, iterations = 50, 2
+        strategies = len(ReplacementStrategy)
+        calls, rotations = Counter(), Counter()
+
+        def counted(name):
+            method = vars(AvlTree)[name]
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = method(*args, **kwargs)
+                if name != "__init__":
+                    rotations[name] += len(result[-1])
+                return result
+
+            return wrapper
+
+        for name in ("insert", "delete", "__init__"):
+            monkeypatch.setattr(AvlTree, name, counted(name))
+        corpus = Corpus.from_words([f"w{i:02d}" for i in range(words)])
+        report = run_experiment(corpus, ExperimentConfig(iterations=iterations, seed=3))
+        assert calls == {"insert": words * iterations * strategies,
+                         "delete": words * iterations * strategies,
+                         "__init__": iterations * strategies}
+        assert rotations["insert"] == sum(row.insert_totals.sum for row in report.rows)
+        assert rotations["delete"] == sum(row.delete_totals.sum for row in report.rows)
 
 
 # distinct str keys, unsorted: mixed case, non-ASCII and shared prefixes

@@ -1,10 +1,13 @@
 """Rotation tallying, averaging, and the percentage comparison row."""
 
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
 from avlkit import Phase, ReplacementStrategy, RotationEvent, RotationKind
 from avlkit.counters import RotationCounters, StrategyTally, percentage_row
+from avlkit.tree import _DELETE_EVENTS, _INSERT_EVENTS
 
 
 def tally():
@@ -47,6 +50,53 @@ class TestRecord:
         with pytest.raises(ValueError, match=f"unknown phase {phase!r}"):
             t.record(RotationEvent(RotationKind.LL, phase))
         assert t.insert_totals.sum == t.delete_totals.sum == 0
+
+
+# the tree's eight shared events, and equal but distinct copies of them
+member_events = st.lists(st.one_of(
+    st.sampled_from(_INSERT_EVENTS + _DELETE_EVENTS),
+    st.builds(RotationEvent, st.sampled_from(RotationKind), st.sampled_from(Phase))))
+non_member_events = st.one_of(
+    st.builds(RotationEvent, st.sampled_from(["LL", None, Phase.DELETE]),
+              st.sampled_from(Phase)),
+    st.builds(RotationEvent, st.sampled_from(RotationKind),
+              st.sampled_from(["delete", None, RotationKind.LL])))
+
+
+def recorded_one_by_one(*event_lists):
+    t = tally()
+    for events in event_lists:
+        for event in events:
+            t.record(event)
+    return t
+
+
+class TestRecordAll:
+    @given(member_events, member_events)
+    def test_totals_equal_those_of_record(self, start, events):
+        t = recorded_one_by_one(start)
+        t.record_all(events)
+        assert t == recorded_one_by_one(start, events)
+
+    @given(member_events, member_events, non_member_events, st.data())
+    def test_a_non_member_raises_and_leaves_the_tally_unchanged(self, start, events, bad, data):
+        events.insert(data.draw(st.integers(0, len(events))), bad)
+        t = recorded_one_by_one(start)
+        before = copy.deepcopy(t)
+        with pytest.raises(ValueError, match="^unknown (phase|rotation kind) "):
+            t.record_all(events)
+        assert t == before
+
+    def test_the_shared_events_are_tallied_by_kind_and_phase(self):
+        t = tally()
+        t.record_all(iter(_INSERT_EVENTS + _DELETE_EVENTS * 2))
+        assert t.insert_totals == RotationCounters(1, 1, 1, 1)
+        assert t.delete_totals == RotationCounters(2, 2, 2, 2)
+
+    def test_no_events_change_nothing(self):
+        t = tally()
+        t.record_all([])
+        assert t == tally()
 
 
 class TestAverage:

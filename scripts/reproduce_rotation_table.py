@@ -21,8 +21,8 @@ Files are named rotations_<corpus stem>_s<seed>_i<iterations>, with
 _n<sample size> added when --sample-size is given, so a subsample run
 never overwrites a full run's files.
 
-Pure Python: a full 235k-word, 100-iteration run takes about 12-14
-minutes (13.8 min with CPython 3.11.7 on a shared 2-core x86_64 machine).
+Pure Python: a full 235k-word, 100-iteration run takes about 9 minutes
+(8.7 min with CPython 3.11.7 on a shared 2-core x86_64 machine).
 Use --sample-size for a quick look.
 """
 

@@ -10,19 +10,12 @@ from collections import Counter
 from typing import Iterable, Optional
 
 from .tree import (_DELETE_EVENTS, _INSERT_EVENTS, Phase, ReplacementStrategy, RotationEvent,
-                   RotationKind, _Record)
+                   _Record)
 
-# Bound once: looking an enum member up on its class costs more than a bump.
-_LL = RotationKind.LL
-_LR = RotationKind.LR
-_RL = RotationKind.RL
-_RR = RotationKind.RR
-_INSERT = Phase.INSERT
-_DELETE = Phase.DELETE
 # The tree's eight shared events by identity: whether each is a deletion's,
 # and its kind's counter. They live as long as the tree module, so no other
 # live object can have one of these ids.
-_SHARED = {id(event): (event.phase is _DELETE, event.kind.name.lower())
+_SHARED = {id(event): (event.phase is Phase.DELETE, event.kind.name.lower())
            for event in _INSERT_EVENTS + _DELETE_EVENTS}
 
 
@@ -40,19 +33,6 @@ class RotationCounters(_Record):
     @property
     def sum(self) -> float:
         return self.ll + self.lr + self.rl + self.rr
-
-    def bump(self, kind: RotationKind) -> None:
-        """Add one to kind's tally. A kind that is not a RotationKind member raises ValueError."""
-        if kind is _LL:
-            self.ll += 1
-        elif kind is _LR:
-            self.lr += 1
-        elif kind is _RL:
-            self.rl += 1
-        elif kind is _RR:
-            self.rr += 1
-        else:
-            raise ValueError(f"unknown rotation kind {kind!r}: expected a RotationKind member")
 
     def averaged(self, iterations: int) -> "RotationCounters":
         """Per-iteration means. Requires at least one iteration."""
@@ -83,28 +63,18 @@ class StrategyTally(_Record):
         self.delete_totals = RotationCounters() if delete_totals is None else delete_totals
 
     def record(self, event: RotationEvent) -> None:
-        """Increment exactly one counter, chosen by the event's kind and phase.
-
-        A phase that is not a Phase member raises ValueError, as bump does
-        for a kind.
-        """
-        phase = event.phase
-        if phase is _DELETE:
-            self.delete_totals.bump(event.kind)
-        elif phase is _INSERT:
-            self.insert_totals.bump(event.kind)
-        else:
-            raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
+        """Tally one event: record_all of the one-event tuple."""
+        self.record_all((event,))
 
     def record_all(self, events: Iterable[RotationEvent]) -> None:
-        """Record every event, with the totals record would give one by one.
+        """Add every event to the counter of its kind and phase.
 
         The events are counted by identity in one pass that makes no Python
         call per event: the tree's mutations hand out eight shared events,
         one per kind and phase. An event that is only equal to one of them
-        is counted as that one; a kind or phase that is not an enum member
-        raises ValueError, as record does. Every event is counted before
-        any total changes, so events that raise leave the tally as it was.
+        is counted as that one; a phase, then a kind, that is not an enum
+        member raises ValueError. Every event is counted before any total
+        changes, so events that raise leave the tally as it was.
         """
         events = list(events)
         counts = Counter(map(id, events))
@@ -119,9 +89,9 @@ class StrategyTally(_Record):
 def _shared_twin(event: RotationEvent) -> RotationEvent:
     """The tree's shared event of event's kind and phase; ValueError if there is none."""
     phase = event.phase
-    if phase is _DELETE:
+    if phase is Phase.DELETE:
         twins = _DELETE_EVENTS
-    elif phase is _INSERT:
+    elif phase is Phase.INSERT:
         twins = _INSERT_EVENTS
     else:
         raise ValueError(f"unknown phase {phase!r}: expected a Phase member")

@@ -22,13 +22,13 @@ every key comparison happens on the way down, before anything changes.
 A deletion has two phases. The read phase, _locate, finds the node, its
 heir and the path, and writes nothing. The write phase moves the heir's
 key and value into the node, splices the heir out and retraces. The
-splice is written inline, since its one link test also gives the
-retrace's first step; _relink hangs every rotated subtree where the
-rotated node hung. Both retraces count an index down the path: most
-climbs stop within a few levels, where building a range costs more
-than the climb. A key that is not equal to itself (NaN) is never stored
-and never matched; a deletion strategy that is not a ReplacementStrategy
-member raises ValueError.
+splice and the rebalancing step each write their one link inline: the
+splice's link test also gives the retrace's first step, and a rotated
+subtree hangs under the path's previous node, or as the root. Both
+retraces count an index down the path: most climbs stop within a few
+levels, where building a range costs more than the climb. A key that is
+not equal to itself (NaN) is never stored and never matched; a deletion
+strategy that is not a ReplacementStrategy member raises ValueError.
 
 No walk uses recursion, and every walk that returns nodes puts each node
 it reaches into an identity set and raises StructuralError naming the
@@ -273,29 +273,14 @@ _ABSENT = object()
 _HEIGHT_DROPS = {0: (1, 1), 1: (2, 1), -1: (1, 2)}
 
 
-def _relink(tree, parent, old, new):
-    """Hang new where old hung: under parent, or as the root if parent is None.
-
-    _rebalance's reattach goes through it. A deletion's splice writes its
-    link inline instead, because the same test sets the retrace's first
-    step.
-    """
-    if parent is None:
-        tree.root = new
-    elif parent.left is old:
-        parent.left = new
-    else:
-        parent.right = new
-
-
 def _rebalance(tree, path, i, phase_events, events):
     """Rotate path[i], at balance -2 or +2, and hang the result where it hung.
 
     Single when the taller child leans the same way or not at all, double
     when it leans the other way. Rotations are called by their public
-    module names, so a wrapper installed there sees every one. _relink
-    hangs the new subtree root under path[i - 1], or as the tree's root
-    when i is 0, and it is returned.
+    module names, so a wrapper installed there sees every one. The new
+    subtree root is hung under path[i - 1], or as the tree's root when i
+    is 0, and returned.
     """
     node = path[i]
     if node.balance < 0:
@@ -308,7 +293,12 @@ def _rebalance(tree, path, i, phase_events, events):
     else:
         index, subtree = 3, rotate_rr(node)
     events.append(phase_events[index])
-    _relink(tree, path[i - 1] if i else None, node, subtree)
+    if not i:
+        tree.root = subtree
+    elif path[i - 1].left is node:
+        path[i - 1].left = subtree
+    else:
+        path[i - 1].right = subtree
     return subtree
 
 

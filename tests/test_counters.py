@@ -38,11 +38,11 @@ class TestRecord:
         assert t.insert_totals.sum + t.delete_totals.sum == k
 
     @pytest.mark.parametrize("kind", ["LL", None, Phase.DELETE])
-    def test_bump_rejects_a_kind_that_is_not_a_member(self, kind):
-        counters = RotationCounters()
+    def test_record_rejects_a_kind_that_is_not_a_member(self, kind):
+        t = tally()
         with pytest.raises(ValueError, match=f"unknown rotation kind {kind!r}"):
-            counters.bump(kind)
-        assert counters == RotationCounters()
+            t.record(RotationEvent(kind, Phase.DELETE))
+        assert t == tally()
 
     @pytest.mark.parametrize("phase", ["delete", None, RotationKind.LL])
     def test_record_rejects_a_phase_that_is_not_a_member(self, phase):

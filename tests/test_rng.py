@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from avlkit.rng import SplitMix64, derive_seed
+from avlkit.rng import SplitMix64, _draws, derive_seed
 
 
 def shuffled(items, rng):
@@ -40,8 +40,11 @@ def fisher_yates_on_below(items, rng):
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, derive_seed(3, 0, 1)])
 def test_shuffle_draws_as_below_does(seed):
     # the golden permutation alone would not see a lost state write-back:
-    # two shuffles on one generator, as run_experiment does, then one draw
-    for size in [*range(71), 1000]:
+    # two shuffles on one generator, as run_experiment does, then one draw.
+    # Draws come in blocks of up to 1024: 4097 (and a few small sizes) run
+    # a block out inside a power-of-two band, and many sizes cross into a
+    # new band on a block's last draw
+    for size in [*range(71), 1000, 1023, 1024, 1025, 2049, 4097]:
         rng, model = SplitMix64(seed), SplitMix64(seed)
         for _ in range(2):
             items, expected = list(range(size)), list(range(size))
@@ -49,6 +52,14 @@ def test_shuffle_draws_as_below_does(seed):
             fisher_yates_on_below(expected, model)
             assert items == expected
         assert rng.next_u64() == model.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("count", [1, 2, 3, 1024])
+def test_draws_are_the_next_u64_stream(seed, count):
+    # 2**64 - 1 wraps the state on the first draw
+    rng = SplitMix64(seed)
+    assert list(_draws(seed, count)) == [rng.next_u64() for _ in range(count)]
 
 
 def test_same_seed_same_stream():

@@ -277,8 +277,10 @@ def apply_op(tree, op, key, strategy):
        st.sampled_from(STRATEGIES), st.data())
 def test_raising_comparison_leaves_tree_unchanged(keys, op, strategy, data):
     # the fuse burns on comparisons of the probe and of stored keys alike,
-    # so it trips at every point of the descent
-    target = data.draw(st.sampled_from(keys) if keys else st.integers(0, 40))
+    # so it trips at every point of the descent; a target that may be
+    # absent reaches inserts that link a leaf and deletes that find nothing
+    target = data.draw(st.one_of(st.sampled_from(keys), st.integers(0, 40))
+                       if keys else st.integers(0, 40))
     fuse = Fuse()
     tree = AvlTree()
     for n in keys:

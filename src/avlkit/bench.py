@@ -311,7 +311,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
     gc.disable()
     try:
         ordered, keys = _ranks(_experiment_words(corpus, config))
-        tallies = {strategy: StrategyTally(strategy) for strategy in config.strategies}
+        tallies = [StrategyTally(strategy) for strategy in config.strategies]
         kept: list = []  # one build's or one teardown's events
         keep = kept.extend
         for iteration in range(config.iterations):
@@ -320,8 +320,8 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
             rng.shuffle(insert_order)
             delete_order = keys[:]
             rng.shuffle(delete_order)
-            for strategy in config.strategies:
-                tally = tallies[strategy]
+            for tally in tallies:
+                strategy = tally.strategy
                 tree = AvlTree()
                 insert = tree.insert
                 for key in insert_order:
@@ -358,7 +358,7 @@ def run_experiment(corpus: Corpus, config: ExperimentConfig) -> BenchmarkReport:
         iterations=config.iterations,
         corpus_sha256=corpus.sha256,
         sample_size=config.sample_size,
-        rows=[tallies[strategy] for strategy in config.strategies],
+        rows=tallies,
     )
 
 

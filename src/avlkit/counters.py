@@ -10,13 +10,15 @@ from collections import Counter
 from typing import Iterable, Optional
 
 from .tree import (_DELETE_EVENTS, _INSERT_EVENTS, Phase, ReplacementStrategy, RotationEvent,
-                   _Record)
+                   RotationKind, _Record)
 
 # The tree's eight shared events by identity: whether each is a deletion's,
 # and its kind's counter. They live as long as the tree module, so no other
 # live object can have one of these ids.
 _SHARED = {id(event): (event.phase is Phase.DELETE, event.kind.name.lower())
            for event in _INSERT_EVENTS + _DELETE_EVENTS}
+# Each shared event under its value, so an equal event finds it.
+_TWINS = {event: event for event in _INSERT_EVENTS + _DELETE_EVENTS}
 
 
 class RotationCounters(_Record):
@@ -88,17 +90,11 @@ class StrategyTally(_Record):
 
 def _shared_twin(event: RotationEvent) -> RotationEvent:
     """The tree's shared event of event's kind and phase; ValueError if there is none."""
-    phase = event.phase
-    if phase is Phase.DELETE:
-        twins = _DELETE_EVENTS
-    elif phase is Phase.INSERT:
-        twins = _INSERT_EVENTS
-    else:
-        raise ValueError(f"unknown phase {phase!r}: expected a Phase member")
-    for twin in twins:
-        if twin.kind is event.kind:
-            return twin
-    raise ValueError(f"unknown rotation kind {event.kind!r}: expected a RotationKind member")
+    if not isinstance(event.phase, Phase):
+        raise ValueError(f"unknown phase {event.phase!r}: expected a Phase member")
+    if not isinstance(event.kind, RotationKind):
+        raise ValueError(f"unknown rotation kind {event.kind!r}: expected a RotationKind member")
+    return _TWINS[event]
 
 
 class PercentageRow(_Record):

@@ -86,9 +86,14 @@ class SplitMix64:
         return _mix(self.state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), bias-free via rejection sampling."""
+        """Uniform integer in [0, bound), bias-free via rejection sampling.
+
+        A draw is one 64-bit output, so bound must lie in [1, 2**64].
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError(f"bound {bound} exceeds 2**64, the range of one draw")
         mask = (1 << (bound - 1).bit_length()) - 1
         while True:
             r = self.next_u64() & mask

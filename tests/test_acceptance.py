@@ -6,6 +6,7 @@ AVLKIT_WORDS, or have /usr/share/dict/words); it is skipped otherwise and
 everything else runs in a couple of minutes.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -23,6 +24,7 @@ from avlkit import (
     ExperimentConfig,
     ReplacementStrategy,
     load_corpus,
+    render_report,
     run_experiment,
 )
 from avlkit.rng import SplitMix64
@@ -35,6 +37,12 @@ SAMPLE_CORPUS_SHA256 = "b5de3aef3ccba7054da5c6ec12d8cd1cddf93ff65db3f2d7334b5650
 
 # frozen after the first deterministic desk-scale run (seed 1, 100 iterations)
 DESK_SCALE_GOLDEN_SUM_PCT = 80.58825413151139
+# that run's rendered report, every byte of it
+DESK_SCALE_MD5 = {
+    "table": "9ba92d3b809de1517d36d75b41dcb2a9",
+    "csv": "1ec9e35c773c78fce4a373928c7a1a94",
+    "json": "9cd4bd26a26a50ada371abd95f947ee9",
+}
 
 STRATEGIES = list(ReplacementStrategy)
 
@@ -190,8 +198,9 @@ def test_criterion_4_full_scale_percentages():
 
 def test_criterion_5_desk_scale_percentages():
     """Bundled 10k corpus, seed 1, 100 iterations: Sum percentage in
-    [74, 88], equal to the pinned golden value, and the balance-guided
-    strategy strictly below both baselines."""
+    [74, 88], equal to the pinned golden value, the balance-guided
+    strategy strictly below both baselines, and every rendered byte
+    pinned."""
     started = time.perf_counter()
     corpus = load_corpus(SAMPLE_CORPUS)
     assert corpus.sha256 == SAMPLE_CORPUS_SHA256, "bundled corpus changed"
@@ -215,6 +224,8 @@ def test_criterion_5_desk_scale_percentages():
     for column in ("ll", "lr", "rl", "rr"):
         assert getattr(opt_avg, column) <= max(getattr(a_avg, column),
                                                getattr(b_avg, column))
+    for fmt, md5 in DESK_SCALE_MD5.items():
+        assert hashlib.md5(render_report(report, fmt).encode("utf-8")).hexdigest() == md5, fmt
     report_pass(5, started,
                 f"sum percentage {pct.sum:.3f} (golden {DESK_SCALE_GOLDEN_SUM_PCT:.3f}); "
                 f"optimum {optimum} < baselines {baseline_a}, {baseline_b}")

@@ -228,6 +228,13 @@ class TestRunExperiment:
             lines = render_report(report, fmt).splitlines()
             assert [line for line in lines if line.startswith("#")] == lines[:1]
 
+    def test_row_for_refuses_a_strategy_the_run_left_out(self, small_corpus):
+        report = run_experiment(small_corpus,
+                                small_config(strategies=(ReplacementStrategy.OPTIMUM,)))
+        assert report.row_for(ReplacementStrategy.OPTIMUM) is report.rows[0]
+        with pytest.raises(KeyError):
+            report.row_for(ReplacementStrategy.LEFTMOST_OF_RIGHT)
+
     def test_sample_size_is_deterministic_subset(self, small_corpus):
         a = run_experiment(small_corpus, small_config(sample_size=10))
         b = run_experiment(small_corpus, small_config(sample_size=10))

@@ -1,11 +1,15 @@
 """CLI surface: bench, check, demo subcommands and their exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 import avlkit.cli
 import avlkit.tree
 from avlkit import AvlMap, ReplacementStrategy
 from avlkit.cli import main
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_words_10k.txt"
 
 
 @pytest.fixture
@@ -66,6 +70,29 @@ class TestBenchCommand:
                                       strategies=(ReplacementStrategy.OPTIMUM,))
         assert [row.strategy for row in report.rows] == [ReplacementStrategy.OPTIMUM]
         assert capsys.readouterr().err == ""
+
+    def test_run_bench_announces_the_word_count_once_before_the_run(self, monkeypatch):
+        calls = []
+        run = avlkit.cli.run_experiment
+
+        def recorded_run(corpus, config):
+            calls.append("run")
+            return run(corpus, config)
+
+        monkeypatch.setattr(avlkit.cli, "run_experiment", recorded_run)
+        report = avlkit.cli.run_bench(SAMPLE_CORPUS, 1, 1, sample_size=37,
+                                      announce=calls.append)
+        assert calls == [37, "run"]
+        assert report.sample_size == 37
+
+    def test_run_bench_announces_no_run_that_cannot_start(self, corpus_file, tmp_path, capsys):
+        calls = []
+        # a missing corpus, then a sample larger than the 60-word corpus
+        for path, sample_size in [(tmp_path / "missing.txt", None), (corpus_file, 61)]:
+            assert avlkit.cli.run_bench(path, 1, 1, sample_size=sample_size,
+                                        announce=calls.append) is None
+            assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
     def test_unknown_strategy_token_is_reported(self, corpus_file, capsys):
         # a library caller's bad strategy gets the error line, not a traceback

@@ -89,6 +89,13 @@ def test_below_rejects_nonpositive_bound():
         SplitMix64(0).below(0)
 
 
+def test_below_rejects_a_bound_past_one_draw():
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*64"):
+        SplitMix64(1).below(2**64 + 1)
+    # the largest bound takes one draw, whole
+    assert SplitMix64(1).below(2**64) == SplitMix64(1).next_u64()
+
+
 def test_derive_seed_is_order_sensitive_and_stable():
     assert derive_seed(1, 0, 0) == derive_seed(1, 0, 0)
     assert derive_seed(1, 0, 1) != derive_seed(1, 1, 0)

@@ -23,9 +23,9 @@ import gc
 import json
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .counters import PercentageRow, RotationCounters, StrategyTally, percentage_row
+from .counters import PercentageRow, RotationCounters, StrategyTally
 from .rng import SplitMix64, derive_seed
 from .tree import AvlTree, ReplacementStrategy, StructuralError, _FrozenRecord, _Record
 
@@ -113,6 +113,19 @@ def load_corpus(path) -> Corpus:
     return _parse_corpus(Path(path).read_bytes(), path)
 
 
+def _check_strategies(strategies: Sequence[ReplacementStrategy]) -> None:
+    """Raise ValueError naming the strategies that are not ReplacementStrategy
+    members, or else those listed more than once."""
+    unknown = [strategy for strategy in strategies
+               if not isinstance(strategy, ReplacementStrategy)]
+    if unknown:
+        raise ValueError(f"unknown strategy: {', '.join(map(repr, unknown))}")
+    repeated = [strategy.value for strategy in dict.fromkeys(strategies)
+                if strategies.count(strategy) > 1]
+    if repeated:
+        raise ValueError(f"strategy listed more than once: {', '.join(repeated)}")
+
+
 class ExperimentConfig(_FrozenRecord):
     """What run_experiment runs. Any iterable of strategies but a str is
     read once into a tuple, in order, before it is checked."""
@@ -136,14 +149,7 @@ class ExperimentConfig(_FrozenRecord):
         strategies = tuple(strategies or ())
         if not strategies:
             raise ValueError("at least one strategy is required")
-        unknown = [strategy for strategy in strategies
-                   if not isinstance(strategy, ReplacementStrategy)]
-        if unknown:
-            raise ValueError(f"unknown strategy: {', '.join(map(repr, unknown))}")
-        repeated = [strategy.value for strategy in dict.fromkeys(strategies)
-                    if strategies.count(strategy) > 1]
-        if repeated:
-            raise ValueError(f"strategy listed more than once: {', '.join(repeated)}")
+        _check_strategies(strategies)
         if sample_size is not None and sample_size < 1:
             raise ValueError("sample_size must be positive")
         object.__setattr__(self, "iterations", iterations)
@@ -157,13 +163,15 @@ class BenchmarkReport(_Record):
 
     Every average is a row's totals divided by the report's iterations,
     the one count they are taken over. to_dict and from_dict write and
-    read the whole json schema, rows included.
+    read the whole json schema, rows included. Each row's strategy must
+    be a ReplacementStrategy member with no other row: ValueError if not.
     """
 
     __slots__ = ("seed", "iterations", "corpus_sha256", "sample_size", "rows")
 
     def __init__(self, seed: int, iterations: int, corpus_sha256: str,
                  sample_size: Optional[int], rows: list[StrategyTally]):
+        _check_strategies([row.strategy for row in rows])
         self.seed = seed
         self.iterations = iterations
         self.corpus_sha256 = corpus_sha256
@@ -183,19 +191,21 @@ class BenchmarkReport(_Record):
     def percentages(self) -> Optional[PercentageRow]:
         """Optimum's delete averages against the two fixed strategies'.
 
-        None unless all three strategies ran and no baseline column
-        averaged zero rotations.
+        Each column, Sum included, is 100 * optimum / ((a + b) / 2) at full
+        precision; rounding is a rendering concern. None unless all three
+        strategies ran and no baseline column averaged zero rotations,
+        which is checked before any division.
         """
         if not self._ran_all_strategies():
             return None
-        average = {row.strategy: row.delete_totals.averaged(self.iterations)
-                   for row in self.rows}
-        try:
-            return percentage_row(average[ReplacementStrategy.OPTIMUM],
-                                  average[ReplacementStrategy.RIGHTMOST_OF_LEFT],
-                                  average[ReplacementStrategy.LEFTMOST_OF_RIGHT])
-        except ValueError:
+        optimum, baseline_a, baseline_b = (
+            self.row_for(strategy).delete_totals.averaged(self.iterations).as_dict().values()
+            for strategy in (ReplacementStrategy.OPTIMUM, ReplacementStrategy.RIGHTMOST_OF_LEFT,
+                             ReplacementStrategy.LEFTMOST_OF_RIGHT))
+        means = [(a + b) / 2 for a, b in zip(baseline_a, baseline_b)]
+        if any(mean <= 0 for mean in means):
             return None  # tiny corpora can produce zero-rotation baselines
+        return PercentageRow(*(100.0 * opt / mean for opt, mean in zip(optimum, means)))
 
     def to_dict(self) -> dict:
         def phase(totals):

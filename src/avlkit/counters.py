@@ -1,7 +1,7 @@
-"""Rotation-event tallies and the percentage comparison row.
+"""Rotation-event tallies, and the records that hold counts and percentages.
 
-Averages and the json schema belong to avlkit.bench.BenchmarkReport,
-which holds the tallies.
+Averages, the percentage row's arithmetic and the json schema belong to
+avlkit.bench.BenchmarkReport, which holds the tallies.
 """
 
 from __future__ import annotations
@@ -113,21 +113,3 @@ class PercentageRow(_Record):
         return {"ll": self.ll, "lr": self.lr, "rl": self.rl, "rr": self.rr,
                 "sum": self.sum}
 
-
-def percentage_row(optimum: RotationCounters, baseline_a: RotationCounters,
-                   baseline_b: RotationCounters) -> PercentageRow:
-    """100 * optimum / mean(baseline_a, baseline_b), per column and for the sum.
-
-    Full precision; rounding is a rendering concern. Raises ValueError when
-    a column's baseline mean is zero.
-    """
-
-    def pct(opt, a, b):
-        mean = (a + b) / 2
-        if mean <= 0:
-            raise ValueError("degenerate baseline: column mean is zero")
-        return 100.0 * opt / mean
-
-    columns = zip(optimum.as_dict().values(), baseline_a.as_dict().values(),
-                  baseline_b.as_dict().values())
-    return PercentageRow(*(pct(*column) for column in columns))

@@ -260,7 +260,6 @@ def rotate_rl(node: Node) -> Node:
 
 # Enum members and rotation events bound once: looking a member up on its
 # class costs more than the hot-path work around it.
-_RIGHTMOST_OF_LEFT = ReplacementStrategy.RIGHTMOST_OF_LEFT
 _LEFTMOST_OF_RIGHT = ReplacementStrategy.LEFTMOST_OF_RIGHT
 _OPTIMUM = ReplacementStrategy.OPTIMUM
 _LEFT = Direction.LEFT
@@ -367,8 +366,8 @@ def _locate(tree, key, strategy):
     for a missing key, else (path, node, heir, direction), where path runs
     from the root to the heir's parent.
     """
-    if (strategy is not _OPTIMUM and strategy is not _RIGHTMOST_OF_LEFT
-            and strategy is not _LEFTMOST_OF_RIGHT):
+    # type(), not isinstance: a Mock(spec=ReplacementStrategy) passes isinstance
+    if type(strategy) is not ReplacementStrategy:
         raise ValueError(f"unknown replacement strategy {strategy!r}: "
                          f"expected a ReplacementStrategy member")
     node = tree.root

@@ -26,7 +26,7 @@ MODULE_ONLY = [
         "ValidationReport", "Violation")
 ] + [
     ("avlkit.counters", name) for name in (
-        "RotationCounters", "StrategyTally", "PercentageRow", "percentage_row")
+        "RotationCounters", "StrategyTally", "PercentageRow")
 ] + [
     ("avlkit.rng", name) for name in ("SplitMix64", "derive_seed")
 ]

@@ -504,6 +504,22 @@ class TestRenderReport:
         for fmt in ("table", "csv", "json"):
             assert render_report(parsed, fmt) == render_report(report, fmt), fmt
 
+    def test_json_that_repeats_a_strategy_is_refused(self, small_corpus):
+        report = run_experiment(small_corpus, small_config())
+        data = json.loads(render_report(report, "json"))
+        optimum = next(row for row in data["rows"] if row["strategy"] == "optimum")
+        data["rows"].append(optimum)
+        message = "strategy listed more than once: optimum"
+        with pytest.raises(ValueError, match=message):
+            BenchmarkReport.from_dict(data)
+        with pytest.raises(ValueError, match=message):
+            BenchmarkReport(1, 1, "ab" * 32, None, report.rows + report.rows[-1:])
+
+    @pytest.mark.parametrize("strategy", ["optimum", None])
+    def test_a_row_whose_strategy_is_no_member_is_refused(self, strategy):
+        with pytest.raises(ValueError, match=f"unknown strategy: {strategy!r}"):
+            BenchmarkReport(1, 1, "ab" * 32, None, [StrategyTally(strategy)])
+
     def test_json_config_schema(self, small_corpus):
         report = run_experiment(small_corpus, small_config())
         data = json.loads(render_report(report, "json"))

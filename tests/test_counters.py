@@ -1,12 +1,13 @@
-"""Rotation tallying, averaging, and the percentage comparison row."""
+"""Rotation tallying, averaging, and the percentage comparison row that
+BenchmarkReport derives from the tallies."""
 
 import copy
 
 import pytest
 from hypothesis import given, strategies as st
 
-from avlkit import Phase, ReplacementStrategy, RotationEvent, RotationKind
-from avlkit.counters import RotationCounters, StrategyTally, percentage_row
+from avlkit import BenchmarkReport, Phase, ReplacementStrategy, RotationEvent, RotationKind
+from avlkit.counters import RotationCounters, StrategyTally
 from avlkit.tree import _DELETE_EVENTS, _INSERT_EVENTS
 
 
@@ -121,6 +122,15 @@ class TestAverage:
         assert t.delete_totals.averaged(4) == RotationCounters(0, 0, 2, 8).averaged(4)
 
 
+def report_percentages(optimum, rightmost_of_left, leftmost_of_right):
+    """The percentages of a one-iteration report with these delete totals."""
+    rows = [StrategyTally(strategy, delete_totals=totals) for strategy, totals in (
+        (ReplacementStrategy.RIGHTMOST_OF_LEFT, rightmost_of_left),
+        (ReplacementStrategy.LEFTMOST_OF_RIGHT, leftmost_of_right),
+        (ReplacementStrategy.OPTIMUM, optimum))]
+    return BenchmarkReport(1, 1, "ab" * 32, None, rows).percentages
+
+
 class TestPercentageRow:
     def test_reported_sum_ratio(self):
         # published comparison row. Note the printed sums (50,664 / 62,819 /
@@ -134,7 +144,7 @@ class TestPercentageRow:
         assert abs(b.sum - 62_743) <= 2
         assert round(100 * 50_664 / ((62_819 + 62_743) / 2)) == 81
         assert round(100 * 8_613 / ((12_640 + 12_620) / 2)) == 68
-        row = percentage_row(optimum, a, b)
+        row = report_percentages(optimum, a, b)
         assert round(row.sum) == 81
         assert round(row.rl) == 68
         assert round(row.ll) == 85
@@ -143,22 +153,24 @@ class TestPercentageRow:
 
     def test_identical_inputs_give_100_everywhere(self):
         c = RotationCounters(5, 6, 7, 8)
-        row = percentage_row(c, RotationCounters(5, 6, 7, 8), RotationCounters(5, 6, 7, 8))
+        row = report_percentages(c, RotationCounters(5, 6, 7, 8), RotationCounters(5, 6, 7, 8))
         assert row.as_dict() == {"ll": 100, "lr": 100, "rl": 100, "rr": 100, "sum": 100}
 
     def test_degenerate_baseline_rejected(self):
         optimum = RotationCounters(1, 1, 1, 1)
         zero = RotationCounters()
-        with pytest.raises(ValueError):
-            percentage_row(optimum, zero, zero)
+        assert report_percentages(optimum, zero, zero) is None
+        # one column is enough, and it is caught before any division
+        assert report_percentages(optimum, RotationCounters(1, 1, 0, 1),
+                                  RotationCounters(1, 1, 0, 1)) is None
 
     @given(st.integers(min_value=1, max_value=1000))
     def test_scale_invariance(self, factor):
         optimum = RotationCounters(10, 20, 30, 40)
         a = RotationCounters(15, 25, 35, 45)
         b = RotationCounters(11, 21, 31, 41)
-        base = percentage_row(optimum, a, b)
+        base = report_percentages(optimum, a, b)
         scale = lambda c: RotationCounters(c.ll * factor, c.lr * factor,
                                            c.rl * factor, c.rr * factor)
-        scaled = percentage_row(scale(optimum), scale(a), scale(b))
+        scaled = report_percentages(scale(optimum), scale(a), scale(b))
         assert scaled == base

@@ -4,6 +4,7 @@ import itertools
 import math
 import numbers
 import re
+from unittest import mock
 
 import pytest
 
@@ -258,7 +259,9 @@ class TestStoredNone:
 class TestUnknownStrategy:
     """A strategy that is not a ReplacementStrategy member is refused before the descent."""
 
-    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, 1, Direction.LEFT])
+    # a Mock(spec=ReplacementStrategy) passes isinstance, but is no member
+    @pytest.mark.parametrize("strategy", ["leftmost", "optimum", None, 1, Direction.LEFT,
+                                          mock.Mock(spec=ReplacementStrategy)])
     @pytest.mark.parametrize("key", [4, 1, 99])  # two children, a leaf, absent
     def test_delete_and_pop_leave_the_tree_unchanged(self, strategy, key):
         tree = AvlTree([4, 2, 6, 1, 3, 5, 7])

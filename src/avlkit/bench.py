@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -79,10 +80,23 @@ def _parse_corpus(raw: bytes, source) -> Corpus:
     but the fingerprint is of the raw bytes, mark included. Duplicates
     keep their first occurrence. Raises CorpusError, naming the source,
     when the bytes are not UTF-8 or no word is left.
-    """
-    import hashlib  # here, not at the top: it loads OpenSSL, and only a corpus needs it
 
-    digest = hashlib.sha256(raw).hexdigest()
+    The fingerprint comes from CPython's built-in SHA-256 module, not from
+    hashlib, which loads OpenSSL and adds about 3.6 MB to a run's peak RSS;
+    hashlib is the fallback on a build without the built-in module. Both
+    give the same digest.
+    """
+    # Imported here, as only a corpus needs it. The module is picked by
+    # version, not by trying _sha2 first: a failed import rescans sys.path.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build configured without the built-in hashes
+        from hashlib import sha256
+
+    digest = sha256(raw).hexdigest()
     try:
         # not the "utf-8-sig" codec: loading it adds about 0.2 MB to a run's peak RSS
         text = raw.decode("utf-8").removeprefix("\ufeff")

@@ -21,7 +21,12 @@ class AvlMap:
     __slots__ = ("_tree",)
 
     def __init__(self, items=()):
+        """Map keys to values as dict() does: anything with keys() is read
+        through its items(), anything else as (key, value) pairs. A later
+        pair for the same key overwrites the earlier value."""
         self._tree = AvlTree()
+        if hasattr(items, "keys"):
+            items = items.items()
         for key, value in items:
             self.insert(key, value)
 

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import avlkit.bench
 import avlkit.cli
@@ -111,6 +111,15 @@ class TestLoadCorpus:
         from_memory = Corpus.from_words([word, "beta"])
         assert from_memory.words == (word, "beta")
         assert from_memory.original_count == 2
+
+    @given(st.lists(st.text(), min_size=1))
+    def test_fingerprint_is_the_sha256_of_the_lines(self, words):
+        try:
+            corpus = Corpus.from_words(words)
+        except CorpusError:
+            reject()  # no word left
+        expected = hashlib.sha256(("\n".join(words) + "\n").encode("utf-8")).hexdigest()
+        assert corpus.sha256 == expected
 
     def test_non_utf8_file_rejected_with_its_name(self, tmp_path):
         path = tmp_path / "latin1.txt"

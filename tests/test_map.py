@@ -11,6 +11,14 @@ def test_insert_into_empty_returns_none():
     assert len(mapping) == 1
 
 
+def test_built_from_a_mapping_or_from_pairs():
+    assert AvlMap({"cd": 2, "ab": 1}).items() == [("ab", 1), ("cd", 2)]
+    assert AvlMap({1: 2}).items() == [(1, 2)]
+    assert AvlMap(AvlMap({1: "x", 0: "y"})).items() == [(0, "y"), (1, "x")]
+    assert AvlMap([("ab", 1), ("cd", 2), ("ab", 3)]).items() == [("ab", 3), ("cd", 2)]
+    assert AvlMap(iter([(1, 2)])).items() == [(1, 2)]
+
+
 def test_overwrite_returns_previous_and_keeps_size():
     mapping = AvlMap()
     assert mapping.insert("a", 1) is None

@@ -130,4 +130,12 @@ class SplitMix64:
         self.state = state
 
     def choice(self, items):
-        return items[self.below(len(items))]
+        """One item of a sequence, drawn as below(len(items)) would.
+
+        An empty sequence raises IndexError, as random.choice does, before
+        any draw, so the state does not move.
+        """
+        count = len(items)
+        if not count:
+            raise IndexError("cannot choose from an empty sequence")
+        return items[self.below(count)]

@@ -37,13 +37,17 @@ walk behind height(), clone() and validate(), the in-order walk behind
 in_order(), items_in_order() and iteration, and format_tree()'s drawing
 walk. Only _sound, validate()'s yes/no pass, is bounded by size instead
 of a set. validate() makes two passes. The yes/no pre-order walk accepts
-a sound tree with an empty report. It checks a leaf child from its
-parent, so it never stacks or visits one, and it compares each
-in-order-adjacent pair of keys once, as the exact walk does, though not
-in the same order. Only a tree it rejects gets the exact walk: the
-post-order walk, whose error validate() alone turns into a report, as a
-single "cycle" violation, and a fold of its nodes that writes every
-other violation.
+a sound tree with an empty report. It checks every child that its parent
+expects at height two or less from that parent: a missing link at 0, a
+leaf at 1, and at 2 a node whose balance says which of its children are
+leaves. So it visits only the root and the nodes of height three or
+more, about a third of them, and it compares each in-order-adjacent pair
+of keys once, as the exact walk does, though not in the same order. Any
+exception, such as one from a link it reads through that is missing,
+rejects. Only a tree it rejects gets the exact walk: the post-order
+walk, whose error validate() alone turns into a report, as a single
+"cycle" violation, and a fold of its nodes that writes every other
+violation.
 """
 
 from __future__ import annotations
@@ -496,39 +500,51 @@ def _sound(root, size):
 
     Each node carries the exclusive key bounds its ancestors set and the
     height its parent expects of it; the root's expected height is the
-    length of the descent along the taller side, by balance. A balance
-    other than -1, 0 or +1 (a KeyError in _HEIGHT_DROPS), a missing child
-    expected at a height other than 0, a key out of its bounds, or a node
-    count other than size rejects, and so does any other exception. A
-    leaf child (no left and no right link) is checked in full from its
-    parent and never stacked or visited: its balance against 0, the
-    height 1 its parent must expect, and its key against the parent's key
-    and the bound it inherits. About half of an AVL tree's nodes are
-    leaves. Only right children that are not leaves are stacked. The loop
-    visits at most size nodes, so a cycle cannot hang it, and it accepts
-    only when the nodes visited and the leaves checked from their parents
-    add up to size. No node list is kept.
+    length of the descent along the taller side, by balance. The height
+    expected of a child picks its check, and no link of the child is
+    probed to choose:
+    - 0: the link must be missing.
+    - 1: a leaf, with no left and no right link, at balance 0.
+    - 2: a node whose balance says which children it has: both at 0,
+      only the right at +1, only the left at -1; each of them a leaf.
+    - 3 or more: the child is visited in turn; only right ones are stacked.
+    A child of height 1 or 2 is checked in full from its parent, its keys
+    against the parent's key, the bound it inherits and each other, and is
+    never stacked or visited. About 43% of an AVL tree's nodes are leaves
+    and 25% have height 2, so the walk visits about a third of them. A
+    visited balance other than -1, 0 or +1 (a KeyError in _HEIGHT_DROPS),
+    a check that fails, a key out of its bounds, or a node count other
+    than size rejects, and so does any other exception: a link read
+    through that is missing raises AttributeError, at once or when the
+    None that was stacked is visited. The loop visits at most size nodes,
+    so a cycle cannot hang it, and it accepts only when the nodes visited
+    and those checked from their parents add up to size. No node list is
+    kept. A rejection only costs the exact walk, so only acceptance needs
+    an argument.
 
     Why acceptance means the exact walk would report nothing:
     - Order. A node is compared with its lower bound only when it has no
       left child, and with its upper bound only when it has no right
-      child; a leaf checked from its parent is compared with both, one of
-      them the parent's key. Those bounds are its in-order neighbours, so
-      each in-order-adjacent pair is compared exactly once, with the
-      operands of the exact walk's comparison, the smaller key on the
-      left of <. The order differs, since a right leaf is compared before
-      its parent's left subtree, but on a sound tree the set of
+      child. A visited node other than the root has both children, and
+      the root has no bounds; a node checked from its parent is compared
+      with each bound it lacks a child for, one of them the parent's key
+      or a key of its height-2 parent. Those bounds are its in-order
+      neighbours, so each in-order-adjacent pair is compared exactly once,
+      with the operands of the exact walk's comparison, the smaller key on
+      the left of <. The order differs, since a right child is checked
+      before its parent's left subtree, but on a sound tree the set of
       comparisons is the exact walk's, so none of its order checks can
       fail, for any keys.
-    - Heights. Under each node the expected heights of the children are
-      within one of each other; a missing child must be expected at 0 and
-      a leaf child at 1, with balance 0. So, from the leaves up, every
-      subtree has the height its parent expected, and every stored
-      balance equals the recomputed difference.
+    - Heights. Under each visited node the expected heights of the
+      children are within one of each other; a child expected at 0 must
+      be missing, at 1 a leaf at balance 0, and at 2 a node whose balance
+      matches the leaves it has. So, from the leaves up, every subtree has
+      the height its parent expected, and every stored balance equals the
+      recomputed difference.
     - Repeats. A cycle never ends within size visits. Under a strict
-      total order a node reached twice, a visited node or a leaf that two
-      parents share, repeats a key in the in-order sequence of the walk,
-      which the order checks reject; so no node is reached twice.
+      total order a node reached twice, a visited node or one checked
+      from its parent, repeats a key in the in-order sequence of the
+      walk, which the order checks reject; so no node is reached twice.
     """
     try:
         height, node = 0, root
@@ -539,35 +555,81 @@ def _sound(root, size):
             node = node.right if node.balance > 0 else node.left
         if node is not None:
             return False
-        stack, node, lo, hi, leaves = [], root, None, None, 0
+        stack, node, lo, hi, checked = [], root, None, None, 0
         push, pop = stack.append, stack.pop
         for visited in range(1, size + 1):
             left_drop, right_drop = _HEIGHT_DROPS[node.balance]
-            key, right = node.key, node.right
-            if right is None:
-                if height != right_drop or (hi is not None and not key < hi):
+            key, child, expected = node.key, node.right, height - right_drop
+            if expected > 2:
+                push((child, expected, key, hi))
+            elif expected == 2:  # its balance says which of its children are leaves
+                low, high, balance = child.left, child.right, child.balance
+                if balance == 0:
+                    if (low.left is not None or low.right is not None or low.balance != 0
+                            or high.left is not None or high.right is not None
+                            or high.balance != 0 or not key < low.key < child.key < high.key
+                            or hi is not None and not high.key < hi):
+                        return False
+                    checked += 3
+                elif balance == 1:
+                    if (low is not None or high.left is not None or high.right is not None
+                            or high.balance != 0 or not key < child.key < high.key
+                            or hi is not None and not high.key < hi):
+                        return False
+                    checked += 2
+                elif balance == -1:
+                    if (high is not None or low.left is not None or low.right is not None
+                            or low.balance != 0 or not key < low.key < child.key
+                            or hi is not None and not child.key < hi):
+                        return False
+                    checked += 2
+                else:
                     return False
-            elif right.left is None and right.right is None:
-                if (right.balance != 0 or height != right_drop + 1 or not key < right.key
-                        or (hi is not None and not right.key < hi)):
+            elif expected == 1:
+                if (child.left is not None or child.right is not None or child.balance != 0
+                        or not key < child.key or hi is not None and not child.key < hi):
                     return False
-                leaves += 1
-            else:
-                push((right, height - right_drop, key, hi))
-            left = node.left
-            if left is None:
-                if height != left_drop or (lo is not None and not lo < key):
-                    return False
-            elif left.left is None and left.right is None:
-                if (left.balance != 0 or height != left_drop + 1
-                        or (lo is not None and not lo < left.key) or not left.key < key):
-                    return False
-                leaves += 1
-            else:
-                node, height, hi = left, height - left_drop, key
+                checked += 1
+            # expected at 0 or less only under a root of height 2 or less,
+            # which has no bounds to compare its key with
+            elif expected or child is not None:
+                return False
+            child, expected = node.left, height - left_drop
+            if expected > 2:
+                node, height, hi = child, expected, key
                 continue
+            if expected == 2:  # as on the right, bounded by lo and key
+                low, high, balance = child.left, child.right, child.balance
+                if balance == 0:
+                    if (low.left is not None or low.right is not None or low.balance != 0
+                            or high.left is not None or high.right is not None
+                            or high.balance != 0 or lo is not None and not lo < low.key
+                            or not low.key < child.key < high.key < key):
+                        return False
+                    checked += 3
+                elif balance == 1:
+                    if (low is not None or high.left is not None or high.right is not None
+                            or high.balance != 0 or lo is not None and not lo < child.key
+                            or not child.key < high.key < key):
+                        return False
+                    checked += 2
+                elif balance == -1:
+                    if (high is not None or low.left is not None or low.right is not None
+                            or low.balance != 0 or lo is not None and not lo < low.key
+                            or not low.key < child.key < key):
+                        return False
+                    checked += 2
+                else:
+                    return False
+            elif expected == 1:
+                if (child.left is not None or child.right is not None or child.balance != 0
+                        or lo is not None and not lo < child.key or not child.key < key):
+                    return False
+                checked += 1
+            elif expected or child is not None:
+                return False
             if not stack:
-                return visited + leaves == size
+                return visited + checked == size
             node, height, lo, hi = pop()
         return size == 0  # size nodes passed with more to come, or no root
     except Exception:

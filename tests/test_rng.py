@@ -96,6 +96,21 @@ def test_below_rejects_a_bound_past_one_draw():
     assert SplitMix64(1).below(2**64) == SplitMix64(1).next_u64()
 
 
+@pytest.mark.parametrize("empty", [[], (), ""], ids=["list", "tuple", "str"])
+def test_choice_from_an_empty_sequence_is_an_index_error_before_any_draw(empty):
+    rng = SplitMix64(7)
+    with pytest.raises(IndexError, match="^cannot choose from an empty sequence$"):
+        rng.choice(empty)
+    assert rng.state == SplitMix64(7).state
+
+
+def test_choice_draws_as_below_does():
+    rng, twin = SplitMix64(7), SplitMix64(7)
+    items = "abcde"
+    assert [rng.choice(items) for _ in range(50)] == [items[twin.below(5)] for _ in range(50)]
+    assert rng.state == twin.state
+
+
 def test_derive_seed_is_order_sensitive_and_stable():
     assert derive_seed(1, 0, 0) == derive_seed(1, 0, 0)
     assert derive_seed(1, 0, 1) != derive_seed(1, 1, 0)

@@ -792,6 +792,165 @@ class TestSoundLeafChildren:
         assert [(v.kind, v.key) for v in tree.validate().violations] == [("cycle", 3)]
 
 
+LEAF = (None, None)
+# a height-2 subtree's (left, right) shape at each balance
+HEIGHT_2 = {-1: (LEAF, None), 0: (LEAF, LEAF), 1: (None, LEAF)}
+
+
+def perfect(height):
+    return None if height == 0 else (perfect(height - 1), perfect(height - 1))
+
+
+def grown(shape):
+    """A tree of nested (left, right) shapes, keys 1, 2, ... in order, true balances."""
+    keys = itertools.count(1)
+
+    def build(shape):  # returns (node, height)
+        if shape is None:
+            return None, 0
+        left, left_h = build(shape[0])
+        node = Node(next(keys))
+        node.right, right_h = build(shape[1])
+        node.left, node.balance = left, right_h - left_h
+        return node, max(left_h, right_h) + 1
+
+    tree = AvlTree()
+    tree.root, _ = build(shape)
+    tree.size = next(keys) - 1
+    return tree
+
+
+def child_tree(side, child, tall=False):
+    """(tree, parent, bounds): `child` on `side` of parent, with keys on both sides of it.
+
+    A right child hangs under the root's left child, a left child under
+    the root's right child, so its bounds, lower then upper, are the
+    nodes of its parent's key and the root's. The parent's other subtree
+    has height 2, or 3 with `tall`.
+    """
+    sibling, rest = perfect(2 + tall), perfect(3 + tall)
+    if side == "right":
+        tree = grown(((sibling, child), rest))
+        return tree, tree.root.left, (tree.root.left, tree.root)
+    tree = grown((rest, (child, sibling)))
+    return tree, tree.root.right, (tree.root, tree.root.right)
+
+
+def break_pair(run, index):
+    """Move one key a quarter past its neighbour: run[index] and the next key swap order.
+
+    Keys are consecutive ints, so no other in-order pair breaks. run[0]
+    and run[-1] are the bounds, which stay put.
+    """
+    below, above = run[index], run[index + 1]
+    if above is run[-1]:
+        below.key = above.key + 0.25
+    else:
+        above.key = below.key - 0.25
+
+
+def assert_rejected_near_the_count(tree):
+    """_sound rejects, and the report is the reference's, at sizes near the node count.
+
+    A check that skipped the changed nodes would count up to three fewer,
+    so the count alone must not be what rejects.
+    """
+    reachable = len(list(all_nodes(tree.root)))
+    for size in range(reachable - 3, reachable + 2):
+        tree.size = size
+        assert _sound(tree.root, size) is False, size
+        report = [(v.kind, v.key, v.detail) for v in tree.validate().violations]
+        assert report == reference_violations(tree) != [], size
+
+
+def height_2_changes(balance):
+    """Each single change to a height-2 child that the yes/no pass must reject."""
+    leaves = [link for link, absent_at in (("left", 1), ("right", -1)) if balance != absent_at]
+    yield from (("balance", value) for value in (-1, 0, 1, None, "") if value != balance)
+    yield from (("cut", link) for link in leaves)
+    yield from (("grow", link, below) for link in leaves for below in ("left", "right"))
+    yield from (("leaf balance", link, value) for link in leaves for value in (1, -1, None, ""))
+    yield from (("pair", index) for index in range(len(leaves) + 2))
+    yield from (("parent expects", height) for height in (1, 3))
+
+
+def change_id(value):
+    return "-".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+class TestSoundHeightTwoChildren:
+    """The yes/no pass checks a height-2 child, and its leaves, from its parent."""
+
+    @pytest.mark.parametrize("side, balance, change", [
+        (side, balance, change) for side in ("left", "right") for balance in (-1, 0, 1)
+        for change in height_2_changes(balance)], ids=change_id)
+    def test_a_bad_height_2_child(self, side, balance, change):
+        tree, parent, bounds = child_tree(side, HEIGHT_2[balance],
+                                          tall=change == ("parent expects", 3))
+        child = getattr(parent, side)
+        assert child.balance == balance and _sound(tree.root, tree.size) is True
+        what, *args = change
+        if what == "balance":
+            child.balance = args[0]
+        elif what == "cut":
+            setattr(child, args[0], None)
+        elif what == "grow":
+            leaf = getattr(child, args[0])
+            setattr(leaf, args[1], Node(leaf.key + (0.5 if args[1] == "right" else -0.5)))
+        elif what == "leaf balance":
+            getattr(child, args[0]).balance = args[1]
+        elif what == "pair":
+            inside = [node for node in (child.left, child, child.right) if node is not None]
+            break_pair([bounds[0], *inside, bounds[1]], args[0])
+        elif args[0] == 1:  # the parent leans away from the child
+            parent.balance = -1 if side == "right" else 1
+        else:  # the parent of a child a height short says both are equal
+            parent.balance = 0
+        assert_rejected_near_the_count(tree)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("change", [
+        *(("balance", value) for value in (-1, 1, None, "")),
+        ("grow", "left"), ("grow", "right"), ("pair", 0), ("pair", 1), ("cut",),
+        ("parent expects", 2)], ids=change_id)
+    def test_a_bad_leaf_beside_a_height_2_sibling(self, side, change):
+        tree, parent, bounds = child_tree(side, LEAF)
+        leaf = getattr(parent, side)
+        assert _sound(tree.root, tree.size) is True
+        what, *args = change
+        if what == "balance":
+            leaf.balance = args[0]
+        elif what == "grow":
+            setattr(leaf, args[0], Node(leaf.key + (0.5 if args[0] == "right" else -0.5)))
+        elif what == "pair":
+            break_pair([bounds[0], leaf, bounds[1]], args[0])
+        elif what == "cut":
+            setattr(parent, side, None)
+        else:  # the parent expects its two children at one height
+            parent.balance = 0
+        assert_rejected_near_the_count(tree)
+
+    def test_every_single_change_to_the_swept_trees(self):
+        changes = [("balance", value) for value in (-1, 0, 1, None)]
+        changes += [("key", offset) for offset in (-0.5, 0.5)]
+        changes += [("left", None), ("right", None)]
+        checked = 0
+        for tree in swept_trees():
+            size = tree.size
+            for node in all_nodes(tree.root):
+                for field, value in changes:
+                    old = getattr(node, field)
+                    setattr(node, field, old + value if field == "key" else value)
+                    # at sizes one off as well, so the count alone is never what rejects
+                    for near in (size - 1, size, size + 1):
+                        tree.size = near
+                        assert _sound(tree.root, near) == (reference_violations(tree) == [])
+                    tree.size = size
+                    setattr(node, field, old)
+                    checked += 1
+        assert checked == 8 * sum(tree.size for tree in swept_trees())
+
+
 class TestFormatTree:
     def test_pinned_text_before_and_after_a_delete(self):
         tree = AvlTree([4, 2, 5, 1, 3])

@@ -345,7 +345,7 @@ def test_negated_keys_mirror_shape_and_rotations(keys, doomed, predecessor_first
 
 corruptions_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["key", "balance", "retype", "cut", "graft"]),
+        st.sampled_from(["key", "balance", "retype", "nonnumber", "cut", "graft"]),
         st.integers(min_value=0, max_value=1000),  # picks the node
         st.integers(min_value=-60, max_value=60),  # the new key, balance or chain start
         st.booleans(),  # left link or right link
@@ -356,6 +356,10 @@ corruptions_strategy = st.lists(
 
 @settings(max_examples=300)
 @given(keys_strategy, corruptions_strategy, st.integers(min_value=-3, max_value=3))
+# a leaf, 3, of a height-2 child, off the root's descent, at a falsy or non-number balance
+@example([4, 2, 6, 1, 3, 5, 7], [("nonnumber", 3, 0, False)], 0)
+@example([4, 2, 6, 1, 3, 5, 7], [("nonnumber", 3, 1, False)], 0)
+@example([4, 2, 6, 1, 3, 5, 7], [("nonnumber", 3, 2, False)], 0)
 def test_validate_matches_the_frozen_reference(keys, corruptions, size_offset):
     tree = AvlTree(keys)
     for action, pick, number, on_left in corruptions:
@@ -370,7 +374,10 @@ def test_validate_matches_the_frozen_reference(keys, corruptions, size_offset):
             node.balance = number % 7 - 3
         elif action == "retype":
             # an equal balance of another type: True for 1, or a float
-            node.balance = True if node.balance == 1 and number % 2 else float(node.balance)
+            if isinstance(node.balance, (int, float)):
+                node.balance = True if node.balance == 1 and number % 2 else float(node.balance)
+        elif action == "nonnumber":
+            node.balance = (None, "", "0")[number % 3]  # not a number, falsy or not
         elif action == "cut":
             setattr(node, link, None)
         else:
